@@ -23,6 +23,7 @@ count or scheduling.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -83,11 +84,14 @@ class AlphaRecord:
     With status "exact", ``alpha`` is the answer.  With status
     "lower-bound-only" the contiguous atlas prefix ran out first and
     ``alpha`` is the least vertex count not yet excluded.
+    ``searched_up_to`` is the length of that prefix: atlases for
+    1..searched_up_to were all present.
     """
 
     m: int
     alpha: int
     status: str
+    searched_up_to: int
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ def exact_atlas(
             for done, fut in enumerate(futures, 1):
                 values |= fut.result()
                 if progress:
-                    print(f"atlas n={n}: chunk {done}/{len(spans)}", flush=True)
+                    print(f"atlas n={n}: chunk {done}/{len(spans)}", file=sys.stderr, flush=True)
     elapsed = time.perf_counter() - start
     ordered = tuple(sorted(values))
     return AtlasRecord(
@@ -239,8 +243,8 @@ def alpha_exact(m: int, atlas_cache: Mapping[int, AtlasRecord]) -> AlphaRecord:
         prefix += 1
     for j in range(1, prefix + 1):
         if m in atlas_cache[j].values:
-            return AlphaRecord(m=m, alpha=j, status="exact")
-    return AlphaRecord(m=m, alpha=prefix + 1, status="lower-bound-only")
+            return AlphaRecord(m=m, alpha=j, status="exact", searched_up_to=prefix)
+    return AlphaRecord(m=m, alpha=prefix + 1, status="lower-bound-only", searched_up_to=prefix)
 
 
 def sedlacek_bound(m: int) -> int | None:
@@ -307,9 +311,36 @@ def save_atlas(record: AtlasRecord, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+# key -> type of every field an atlas file must hold
+_ATLAS_FIELDS = {"n": int, "size": int, "values": list, "graphs_scanned": int, "elapsed_ms": int}
+
+
 def load_atlas(path: str | Path) -> AtlasRecord:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    values = tuple(int(s) for s in payload["values"])
+    """Read one atlas file, raising ValueError unless it is well formed.
+
+    Well formed: a JSON object with every field of ``_ATLAS_FIELDS`` at its
+    type, n >= 1, and ``values`` strictly ascending positive decimal
+    strings, ``size`` of them.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
+        raise ValueError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    for key, kind in _ATLAS_FIELDS.items():
+        if type(payload.get(key)) is not kind:
+            raise ValueError(f"{path}: field {key!r} missing or not {kind.__name__}")
+    raw = payload["values"]
+    if not all(type(s) is str and s.isascii() and s.isdigit() for s in raw):
+        raise ValueError(f"{path}: values must be decimal strings")
+    values = tuple(map(int, raw))
+    if payload["n"] < 1:
+        raise ValueError(f"{path}: n must be >= 1")
+    if payload["size"] != len(values):
+        raise ValueError(f"{path}: size is {payload['size']} but there are {len(values)} values")
+    if (values and values[0] < 1) or any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"{path}: values must be strictly ascending and positive")
     return AtlasRecord(
         n=payload["n"],
         values=values,
@@ -320,9 +351,17 @@ def load_atlas(path: str | Path) -> AtlasRecord:
 
 
 def load_atlas_dir(directory: str | Path) -> dict[int, AtlasRecord]:
-    """All atlas_<n>.json files under a directory, keyed by n."""
+    """All atlas_<n>.json files under a directory, keyed by n.
+
+    Raises ValueError for a malformed file (see ``load_atlas``) or one whose
+    name is not ``atlas_filename`` of the n it holds, so no two files can
+    claim the same n.
+    """
     out: dict[int, AtlasRecord] = {}
     for path in sorted(Path(directory).glob("atlas_*.json")):
         record = load_atlas(path)
+        if path.name != atlas_filename(record.n):
+            raise ValueError(f"{path}: holds n={record.n}, so it must be named "
+                             f"{atlas_filename(record.n)}")
         out[record.n] = record
     return out

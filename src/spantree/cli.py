@@ -4,18 +4,21 @@ Counts are printed as decimal strings in every format, including JSON,
 since they outgrow 64-bit integers.  Identical invocations produce
 byte-identical output; the only varying fields (elapsed times) live in
 atlas files, not on stdout.  Exit codes: 0 success, 2 usage or input
-error, 3 required atlas data missing.
+error (bad arguments, malformed edge lists or atlas files, unreadable or
+unwritable paths), 3 required atlas data missing.  Commands only compute;
+``main`` alone renders their output and turns their errors into exit codes.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .asymptotics import (
     check_lhospital,
@@ -47,32 +50,38 @@ from .witness import flower, sidecar_json, witness_family
 
 _P_EXACT_LIMIT = 10_000
 
-
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+# the literals int() accepts, so a bad --grid is reported by its option name
+_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+class _MissingAtlas(Exception):
+    """Required atlas data is absent (exit 3)."""
 
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+class _Output(NamedTuple):
+    """What a command computed, in every output format.
+
+    ``table`` holds the table rows where they differ from the CSV rows.
+    """
+
+    payload: object
+    header: list[str]
+    rows: list[list[str]]
+    table: list[list[str]] | None = None
 
 
-def _emit_table(header: list[str] | None, rows: list[list[str]]) -> None:
-    cols = len(header) if header else (len(rows[0]) if rows else 0)
-    widths = [0] * cols
-    for row in ([header] if header else []) + rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    for row in ([header] if header else []) + rows:
-        print(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+def _render(fmt: str, out: _Output) -> None:
+    if fmt == "json":
+        print(json.dumps(out.payload, indent=2))
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(out.header)
+        writer.writerows(out.rows)
+    else:
+        table = out.rows if out.table is None else out.table
+        widths = [max(map(len, column)) for column in zip(*table)]
+        for row in table:
+            print(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
 def _atlas_dir_arg(parser: argparse.ArgumentParser, required_hint: bool) -> None:
@@ -84,81 +93,40 @@ def _atlas_dir_arg(parser: argparse.ArgumentParser, required_hint: bool) -> None
     )
 
 
-def _cmd_tau(args: argparse.Namespace) -> int:
-    try:
-        if args.input is not None:
-            try:
-                text = Path(args.input).read_text(encoding="utf-8")
-            except OSError as exc:
-                return _fail(str(exc), 2)
-            g = parse_edge_list(text)
-        elif args.cycle is not None:
-            g = cycle(args.cycle)
-        elif args.complete is not None:
-            g = complete(args.complete)
-        else:
-            parts = tuple(sorted(int(s) for s in args.flower.split(",")))
-            g = flower(parts)
-    except EdgeListError as exc:
-        return _fail(f"{args.input}: {exc}", 2)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
-    value = str(tau(g))
-    if args.format == "json":
-        _emit_json({"tau": value})
-    elif args.format == "csv":
-        _emit_csv(["tau"], [[value]])
+def _cmd_tau(args: argparse.Namespace) -> _Output:
+    if args.input is not None:
+        g = parse_edge_list(Path(args.input).read_text(encoding="utf-8"))
+    elif args.cycle is not None:
+        g = cycle(args.cycle)
+    elif args.complete is not None:
+        g = complete(args.complete)
     else:
-        print(value)
-    return 0
+        g = flower(tuple(sorted(int(s) for s in args.flower.split(","))))
+    value = str(tau(g))
+    return _Output({"tau": value}, ["tau"], [[value]])
 
 
-def _cmd_partitions(args: argparse.Namespace) -> int:
+def _cmd_partitions(args: argparse.Namespace) -> _Output:
     if args.n < 0:
-        return _fail("--n must be >= 0", 2)
+        raise ValueError("--n must be >= 0")
     part_class = PartClass(args.part_class)
     if args.cumulative and part_class is not PartClass.ODD_PRIME:
-        return _fail("--cumulative is defined only for --class oddprime", 2)
+        raise ValueError("--cumulative is defined only for --class oddprime")
+    payload = {"n": args.n, "class": part_class.value, "cumulative": args.cumulative}
     if args.list:
         stream = p_set_enumerate(args.n) if args.cumulative else enumerate_partitions(
             args.n, part_class
         )
-        items = [str(p) for p in stream]
-        if args.format == "json":
-            _emit_json(
-                {
-                    "n": args.n,
-                    "class": part_class.value,
-                    "cumulative": args.cumulative,
-                    "partitions": items,
-                }
-            )
-        elif args.format == "csv":
-            _emit_csv(["partition"], [[s] for s in items])
-        else:
-            for s in items:
-                print(s)
-        return 0
+        payload["partitions"] = items = [str(p) for p in stream]
+        return _Output(payload, ["partition"], [[s] for s in items])
     count = p_set_size(args.n) if args.cumulative else count_partitions(args.n, part_class)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "class": part_class.value,
-                "cumulative": args.cumulative,
-                "count": str(count),
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(["count"], [[str(count)]])
-    else:
-        print(count)
-    return 0
+    payload["count"] = str(count)
+    return _Output(payload, ["count"], [[str(count)]])
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: argparse.Namespace) -> _Output:
     if args.n < 3:
-        return _fail("--n must be >= 3", 2)
+        raise ValueError("--n must be >= 3")
     ws = list(witness_family(args.n))
     if args.emit is not None:
         out = Path(args.emit)
@@ -173,97 +141,60 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         [str(w.partition), str(w.tau_value), str(w.graph.n_vertices), str(w.graph.n_edges)]
         for w in ws
     ]
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": args.n,
-                "witnesses": [
-                    {
-                        "parts": list(w.partition.parts),
-                        "tau": str(w.tau_value),
-                        "vertices": w.graph.n_vertices,
-                        "edges": w.graph.n_edges,
-                    }
-                    for w in ws
-                ],
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(["partition", "tau", "vertices", "edges"], rows)
-    else:
-        _emit_table(None, rows)
-    return 0
+    witnesses = [
+        {
+            "parts": list(w.partition.parts),
+            "tau": row[1],
+            "vertices": w.graph.n_vertices,
+            "edges": w.graph.n_edges,
+        }
+        for w, row in zip(ws, rows)
+    ]
+    header = ["partition", "tau", "vertices", "edges"]
+    return _Output({"n": args.n, "witnesses": witnesses}, header, rows)
 
 
-def _cmd_atlas(args: argparse.Namespace) -> int:
+def _cmd_atlas(args: argparse.Namespace) -> _Output:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    try:
-        record = exact_atlas(args.n, jobs=jobs, force=args.force, progress=args.progress)
-    except ValueError as exc:
-        return _fail(str(exc), 2)
+    record = exact_atlas(args.n, jobs=jobs, force=args.force, progress=args.progress)
     if args.out is not None:
         save_atlas(record, args.out)
-    if args.format == "json":
-        _emit_json(
-            {
-                "n": record.n,
-                "size": record.size,
-                "values": [str(v) for v in record.values],
-                "graphs_scanned": record.graphs_scanned,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["n", "size", "graphs_scanned"],
-            [[str(record.n), str(record.size), str(record.graphs_scanned)]],
-        )
-    else:
-        print(record.size)
-    return 0
+    payload = {
+        "n": record.n,
+        "size": record.size,
+        "values": [str(v) for v in record.values],
+        "graphs_scanned": record.graphs_scanned,
+    }
+    row = [str(record.n), str(record.size), str(record.graphs_scanned)]
+    return _Output(payload, ["n", "size", "graphs_scanned"], [row], [[str(record.size)]])
 
 
-def _contiguous_prefix(cache: dict) -> int:
-    prefix = 0
-    while prefix + 1 in cache:
-        prefix += 1
-    return prefix
-
-
-def _cmd_alpha(args: argparse.Namespace) -> int:
+def _cmd_alpha(args: argparse.Namespace) -> _Output:
     if args.m < 1:
-        return _fail("--m must be >= 1", 2)
+        raise ValueError("--m must be >= 1")
     if args.atlas_dir is None:
-        return _fail("--atlas-dir required (or set SPANTREE_ATLAS_DIR)", 2)
+        raise ValueError("--atlas-dir required (or set SPANTREE_ATLAS_DIR)")
     directory = Path(args.atlas_dir)
     cache = load_atlas_dir(directory) if directory.is_dir() else {}
     if not cache:
-        return _fail(f"no atlas files in {directory}", 3)
+        raise _MissingAtlas(f"no atlas files in {directory}")
     record = alpha_exact(args.m, cache)
-    prefix = _contiguous_prefix(cache)
     exact = record.status == "exact"
-    shown = str(record.alpha) if exact else f"> {prefix}"
-    if args.format == "json":
-        _emit_json(
-            {
-                "m": str(args.m),
-                "status": record.status,
-                "alpha": record.alpha if exact else None,
-                "searched_up_to": prefix,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["m", "alpha", "status"],
-            [[str(args.m), str(record.alpha) if exact else f">{prefix}", record.status]],
-        )
-    else:
-        print(shown)
-    return 0
+    payload = {
+        "m": str(args.m),
+        "status": record.status,
+        "alpha": record.alpha if exact else None,
+        "searched_up_to": record.searched_up_to,
+    }
+    alpha = str(record.alpha) if exact else f">{record.searched_up_to}"
+    shown = str(record.alpha) if exact else f"> {record.searched_up_to}"
+    return _Output(payload, ["m", "alpha", "status"], [[str(args.m), alpha, record.status]],
+                   [[shown]])
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: argparse.Namespace) -> _Output:
     if args.max_n < 1:
-        return _fail("--max-n must be >= 1", 2)
+        raise ValueError("--max-n must be >= 1")
     cache = {}
     if args.atlas_dir is not None and Path(args.atlas_dir).is_dir():
         cache = load_atlas_dir(args.atlas_dir)
@@ -295,33 +226,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 "-" if azs is None else str(azs),
             ]
         )
-    if args.format == "json":
-        _emit_json({"rows": payload})
-    elif args.format == "csv":
-        _emit_csv(header, rows)
-    else:
-        _emit_table(header, rows)
-    return 0
+    return _Output({"rows": payload}, header, rows, [header] + rows)
 
 
-def _cmd_asymptotics(args: argparse.Namespace) -> int:
-    try:
-        grid = [int(s) for s in args.grid.split(",")]
-    except ValueError:
-        return _fail("--grid must be comma-separated integers", 2)
-    if not grid:
-        return _fail("--grid must be nonempty", 2)
+def _cmd_asymptotics(args: argparse.Namespace) -> _Output:
+    if not all(_INT_LITERAL.fullmatch(s) for s in args.grid.split(",")):
+        raise ValueError("--grid must be comma-separated integers")
+    grid = [int(s) for s in args.grid.split(",")]
     if any(a > b for a, b in zip(grid, grid[1:])):
-        return _fail("--grid must be ascending", 2)
+        raise ValueError("--grid must be ascending")
     if any(n < 2 for n in grid):
-        return _fail("--grid values must be >= 2", 2)
-    ratios: dict[int, float] = {}
-    if args.check_lhospital:
-        try:
-            report = check_lhospital(grid)
-        except ValueError as exc:
-            return _fail(str(exc), 2)
-        ratios = dict(report.rows)
+        raise ValueError("--grid values must be >= 2")
+    ratios = dict(check_lhospital(grid).rows) if args.check_lhospital else {}
     small = [n for n in grid if n <= _P_EXACT_LIMIT]
     exact_table = count_partitions_up_to(max(small), PartClass.ALL) if small else []
     header = ["n", "p_exact", "hr_estimate", "ratio", "f_log", "lower_log"]
@@ -359,13 +275,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> int:
             row.append(f"{ratios[n]:.6f}")
         payload.append(entry)
         rows.append(row)
-    if args.format == "json":
-        _emit_json({"rows": payload})
-    elif args.format == "csv":
-        _emit_csv(header, rows)
-    else:
-        _emit_table(header, rows)
-    return 0
+    return _Output({"rows": payload}, header, rows, [header] + rows)
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -455,7 +365,19 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    return _COMMANDS[args.command](args)
+    try:
+        out = _COMMANDS[args.command](args)
+    except _MissingAtlas as exc:
+        message, code = str(exc), 3
+    except EdgeListError as exc:  # only tau --input parses an edge list
+        message, code = f"{args.input}: {exc}", 2
+    except (ValueError, OSError) as exc:
+        message, code = str(exc), 2
+    else:
+        _render(args.format, out)
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import spantree.atlas as atlas_module
@@ -15,6 +17,28 @@ from spantree import (
 )
 
 from oracles import ATLAS_3, ATLAS_4
+
+_GOOD = {"n": 3, "size": 2, "values": ["1", "3"], "graphs_scanned": 8, "elapsed_ms": 0}
+
+# file name, file text, the fault the ValueError must name
+_MALFORMED = {
+    "non-json": ("atlas_3.json", "not json{", "not JSON"),
+    "deep-nesting": ("atlas_3.json", "[" * 100_000, "not JSON"),
+    "not-object": ("atlas_3.json", "[1, 3]", "not a JSON object"),
+    "missing-values": (
+        "atlas_3.json",
+        json.dumps({k: v for k, v in _GOOD.items() if k != "values"}),
+        "'values' missing",
+    ),
+    "n-not-int": ("atlas_3.json", json.dumps(dict(_GOOD, n="3")), "'n' missing or not int"),
+    "size-mismatch": ("atlas_3.json", json.dumps(dict(_GOOD, size=1)), "size is 1"),
+    "non-decimal": ("atlas_3.json", json.dumps(dict(_GOOD, values=["1", "3.0"])), "decimal"),
+    "unsorted": ("atlas_3.json", json.dumps(dict(_GOOD, values=["3", "1"])), "ascending"),
+    "duplicate": ("atlas_3.json", json.dumps(dict(_GOOD, values=["3", "3"])), "ascending"),
+    "zero": ("atlas_3.json", json.dumps(dict(_GOOD, values=["0", "3"])), "positive"),
+    "n-zero": ("atlas_0.json", json.dumps(dict(_GOOD, n=0)), "n must be >= 1"),
+    "name-mismatch": ("atlas_4.json", json.dumps(_GOOD), "must be named atlas_3.json"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +108,13 @@ class TestAlpha:
     def test_nine_needs_five(self, small_atlases):
         record = alpha_exact(9, small_atlases)
         assert (record.alpha, record.status) == (5, "exact")
+        assert record.searched_up_to == 6
 
     def test_two_is_never_found(self, small_atlases):
         record = alpha_exact(2, small_atlases)
         assert record.status == "lower-bound-only"
         assert record.alpha == 7
+        assert record.searched_up_to == 6
 
     def test_gap_in_cache_degrades(self, small_atlases):
         cache = {1: small_atlases[1], 3: small_atlases[3]}
@@ -166,3 +192,10 @@ class TestPersistence:
         cache = load_atlas_dir(tmp_path)
         assert sorted(cache) == [2, 3, 5]
         assert cache[3].values == small_atlases[3].values
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_file_rejected(self, tmp_path, case):
+        name, text, fault = _MALFORMED[case]
+        (tmp_path / name).write_text(text)
+        with pytest.raises(ValueError, match=fault):
+            load_atlas_dir(tmp_path)

@@ -1,11 +1,29 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spantree
+import spantree.atlas as atlas_module
 from spantree import exact_atlas, save_atlas
 from spantree.cli import main
+
+# argv -> the exact stdout it prints ({atlas} is the atlas_dir fixture)
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
+
+# inputs that must exit 2 with one error line: bad output paths and
+# malformed atlas directories ({bad} is the bad_inputs fixture)
+FAILING = [
+    "witness --n 5 --emit {bad}/afile",
+    "witness --n 5 --emit {bad}/afile/sub",
+    "atlas --n 3 --jobs 1 --out {bad}/missing/atlas_3.json",
+    "alpha --m 2 --atlas-dir {bad}/nonjson",
+    "alpha --m 2 --atlas-dir {bad}/oversized",
+    "bounds --max-n 3 --atlas-dir {bad}/novalues",
+]
 
 
 @pytest.fixture()
@@ -26,6 +44,34 @@ def atlas_dir(tmp_path_factory):
     for n in range(1, 6):
         save_atlas(exact_atlas(n), directory / f"atlas_{n}.json")
     return directory
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("bad")
+    (directory / "afile").write_text("x")
+    one = {"n": 1, "size": 1, "values": ["1"], "graphs_scanned": 1, "elapsed_ms": 0}
+    for name, text in {
+        "nonjson": "not json{",
+        "novalues": json.dumps({k: v for k, v in one.items() if k != "values"}),
+        "oversized": json.dumps(dict(one, values=["1", "2"])),
+    }.items():
+        (directory / name).mkdir()
+        (directory / name / "atlas_1.json").write_text(text)
+    return directory
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [(argv, 0, out) for argv, out in GOLDEN.items()] + [(argv, 2, "") for argv in FAILING],
+)
+def test_golden(run, atlas_dir, bad_inputs, argv, code, stdout):
+    got_code, got_out, err = run(*argv.format(atlas=atlas_dir, bad=bad_inputs).split())
+    assert (got_code, got_out) == (code, stdout)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTau:
@@ -180,6 +226,15 @@ class TestAtlas:
     def test_hard_cap(self, run):
         assert run("atlas", "--n", "9", "--force")[0] == 2
 
+    def test_progress_only_on_stderr(self, run, monkeypatch):
+        monkeypatch.setattr(atlas_module, "_BATCH", 1 << 6)  # n = 5 now runs in parallel
+        argv = ["atlas", "--n", "5", "--jobs", "2", "--format", "json"]
+        quiet = run(*argv)
+        loud = run(*argv, "--progress")
+        assert quiet[0] == loud[0] == 0
+        assert loud[1] == quiet[1] and quiet[2] == ""
+        assert loud[2].splitlines() == [f"atlas n=5: chunk {i}/8" for i in range(1, 9)]
+
 
 class TestAlpha:
     def test_exact(self, run, atlas_dir):
@@ -272,10 +327,13 @@ class TestStability:
         assert first == second
 
     def test_console_script_installed(self):
+        # the subprocess imports the same sources as this test run
+        src = str(Path(spantree.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "spantree", "tau", "--flower", "3,5"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0
         assert proc.stdout == "15\n"
