@@ -5,14 +5,21 @@ connected graphs on n labeled vertices.  Distinct values need no
 isomorphism reduction, so the scan just walks all 2^C(n,2) edge subsets of
 the complete graph as bitmasks in a fixed lexicographic pair order.
 
-Per batch of masks the whole pipeline is array-shaped: unpack bits, drop
-subsets with fewer than n-1 edges, build adjacency cubes, mark vertices
-reachable from vertex 0 by repeated frontier sweeps, then run fraction-free
-elimination on the struck Laplacians of the connected ones without any
-pivot search.  Pivot-free is sound here because those matrices are positive
-definite, so every leading principal minor (which is what a pivot equals)
-is positive.  int64 never overflows through n = 10: intermediate entries
-are determinants of submatrices, Hadamard-bounded well below 2^63 (n = 8:
+Per batch of masks the pipeline is array-shaped: unpack bits into struck
+Laplacians (vertex 0 deleted) and run fraction-free elimination on all of
+them without pivot search.  By the matrix-tree theorem the result is 0
+exactly for the disconnected subsets, so the elimination is also the
+connectivity test; zeros are dropped when the values are collected.
+
+A zero pivot needs no special case.  The struck Laplacian is positive
+semidefinite.  While earlier pivots are positive, the trailing block is
+the last of them (a leading minor) times a positive semidefinite Schur
+complement, whose zero diagonal entries have zero rows and columns; so a
+zero pivot leaves an all-zero trailing block and a final value of 0.  The
+next step divides by max(pivot, 1): for a connected graph every pivot is a
+leading minor of a positive definite matrix, hence positive, so nothing
+changes.  int64 never overflows through n = 10: intermediate entries are
+determinants of submatrices, Hadamard-bounded well below 2^63 (n = 8:
 about 1.3e6, squared in the update step still ~1.7e12).
 
 Work splits into disjoint mask ranges; each worker returns a local value
@@ -27,7 +34,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
@@ -123,47 +129,24 @@ def _scan_batch(n: int, lo: int, hi: int) -> set[int]:
     """Distinct counts over connected graphs among masks [lo, hi)."""
     if n == 1:
         return {1} if lo <= 0 < hi else set()
-    pairs = list(combinations(range(n), 2))
-    us = np.array([u for u, _ in pairs])
-    vs = np.array([v for _, v in pairs])
-    c = len(pairs)
-
+    us, vs = np.triu_indices(n, 1)  # the pairs in lexicographic order
     masks = np.arange(lo, hi, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(c, dtype=np.int64)) & 1).astype(np.uint8)
-    bits = bits[bits.sum(axis=1) >= n - 1]  # a spanning tree needs n-1 edges
-    if bits.shape[0] == 0:
-        return set()
+    bits = (masks >> np.arange(len(us), dtype=np.int64)[:, None]) & 1
+    # the batch is the last axis, so every elementwise step runs over
+    # contiguous runs of masks
+    lap = np.zeros((n, n, hi - lo), dtype=np.int64)
+    lap[us, vs] = lap[vs, us] = -bits
+    lap[range(n), range(n)] = -lap.sum(axis=1)
+    m = lap[1:, 1:]  # strike vertex 0
 
-    adj = np.zeros((bits.shape[0], n, n), dtype=np.uint8)
-    adj[:, us, vs] = bits
-    adj[:, vs, us] = bits
-
-    visited = np.zeros((adj.shape[0], n), dtype=np.uint8)
-    visited[:, 0] = 1
-    for _ in range(n - 1):
-        hit = np.einsum("bij,bj->bi", adj, visited)
-        visited = np.minimum(visited + hit, 1)
-    adj = adj[visited.all(axis=1)]
-    if adj.shape[0] == 0:
-        return set()
-
-    lap = -adj.astype(np.int64)
-    diag = np.arange(n)
-    lap[:, diag, diag] = adj.sum(axis=2)
-    m = lap[:, 1:, 1:].copy()  # strike vertex 0
-
-    k = n - 1
-    prev = np.ones(m.shape[0], dtype=np.int64)
-    for col in range(k - 1):
-        pivot = m[:, col, col]
-        sub = m[:, col + 1 :, col + 1 :]
-        colv = m[:, col + 1 :, col : col + 1]
-        rowv = m[:, col : col + 1, col + 1 :]
-        m[:, col + 1 :, col + 1 :] = (sub * pivot[:, None, None] - colv * rowv) // prev[
-            :, None, None
-        ]
-        prev = pivot
-    return {int(d) for d in m[:, k - 1, k - 1]}
+    prev = 1
+    for col in range(n - 2):
+        pivot = m[col, col]
+        rest = slice(col + 1, None)
+        m[rest, rest] = (m[rest, rest] * pivot - m[rest, col, None] * m[None, col, rest]) // prev
+        prev = np.maximum(pivot, 1)  # a zero pivot left only zeros below it
+    det = m[-1, -1]
+    return set(np.unique(det[det > 0]).tolist())
 
 
 def _scan_range(n: int, start: int, stop: int) -> set[int]:
@@ -319,12 +302,14 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     """Read one atlas file, raising ValueError unless it is well formed.
 
     Well formed: a JSON object with every field of ``_ATLAS_FIELDS`` at its
-    type, n >= 1, and ``values`` strictly ascending positive decimal
-    strings, ``size`` of them.
+    type, 1 <= n <= ``HARD_CAP``, and ``values`` strictly ascending positive
+    decimal strings, ``size`` of them, from 1 (a tree) to the count of the
+    complete graph (Cayley's n^(n-2)).
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
+    except (json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:  # deep nesting recurses
         raise ValueError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a JSON object")
@@ -335,14 +320,19 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     if not all(type(s) is str and s.isascii() and s.isdigit() for s in raw):
         raise ValueError(f"{path}: values must be decimal strings")
     values = tuple(map(int, raw))
-    if payload["n"] < 1:
-        raise ValueError(f"{path}: n must be >= 1")
+    n = payload["n"]
+    if not 1 <= n <= HARD_CAP:  # the cap also keeps n^(n-2) below cheap
+        raise ValueError(f"{path}: n must be >= 1 and <= {HARD_CAP}")
     if payload["size"] != len(values):
         raise ValueError(f"{path}: size is {payload['size']} but there are {len(values)} values")
-    if (values and values[0] < 1) or any(a >= b for a, b in zip(values, values[1:])):
-        raise ValueError(f"{path}: values must be strictly ascending and positive")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"{path}: values must be strictly ascending")
+    cayley = n ** (n - 2) if n > 2 else 1
+    if values[:1] != (1,) or values[-1:] != (cayley,):
+        raise ValueError(f"{path}: values must be positive, from 1 (a tree) to {cayley} "
+                         f"(the complete graph)")
     return AtlasRecord(
-        n=payload["n"],
+        n=n,
         values=values,
         size=payload["size"],
         graphs_scanned=payload["graphs_scanned"],

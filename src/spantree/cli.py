@@ -155,6 +155,10 @@ def _cmd_witness(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_atlas(args: argparse.Namespace) -> _Output:
+    if args.out is not None:  # before the scan, which can take minutes
+        out = Path(args.out)
+        if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
+            raise ValueError(f"--out {out}: not a file in a writable directory")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     record = exact_atlas(args.n, jobs=jobs, force=args.force, progress=args.progress)
     if args.out is not None:
@@ -201,7 +205,10 @@ def _cmd_bounds(args: argparse.Namespace) -> _Output:
     header = ["n", "p_set", "atlas", "lower_log", "sedlacek", "azarija"]
     rows = []
     payload = []
+    odd_prime = count_partitions_up_to(args.max_n, PartClass.ODD_PRIME)
+    p_set = 0
     for n in range(1, args.max_n + 1):
+        p_set += odd_prime[n]  # = p_set_size(n), as no odd-prime partition sums to 1 or 2
         atlas_size = cache[n].size if n in cache else None
         lower = cumulative_lower_bound(n).log_value if n >= 2 else None
         sed = sedlacek_bound(n)
@@ -209,7 +216,7 @@ def _cmd_bounds(args: argparse.Namespace) -> _Output:
         payload.append(
             {
                 "n": n,
-                "p_set": str(p_set_size(n)),
+                "p_set": str(p_set),
                 "atlas": atlas_size,
                 "lower_log": lower,
                 "sedlacek": sed,
@@ -219,7 +226,7 @@ def _cmd_bounds(args: argparse.Namespace) -> _Output:
         rows.append(
             [
                 str(n),
-                str(p_set_size(n)),
+                str(p_set),
                 "-" if atlas_size is None else str(atlas_size),
                 "-" if lower is None else f"{lower:.6f}",
                 "-" if sed is None else str(sed),
@@ -369,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         out = _COMMANDS[args.command](args)
     except _MissingAtlas as exc:
         message, code = str(exc), 3
-    except EdgeListError as exc:  # only tau --input parses an edge list
+    except (EdgeListError, UnicodeDecodeError) as exc:  # only from tau --input
         message, code = f"{args.input}: {exc}", 2
     except (ValueError, OSError) as exc:
         message, code = str(exc), 2

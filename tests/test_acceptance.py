@@ -97,6 +97,7 @@ def test_criterion_05_atlas_ground_truth(atlases):
     assert set(atlases[1].values) == {1}
     assert set(atlases[3].values) == ATLAS_3
     assert set(atlases[4].values) == ATLAS_4
+    assert [atlases[n].size for n in range(1, 8)] == [1, 1, 2, 5, 16, 65, 386]
     for n in range(1, 8):
         eight = exact_atlas(n, jobs=8)
         assert eight.values == atlases[n].values

@@ -1,18 +1,22 @@
 import json
+from itertools import combinations
 
 import pytest
 
 import spantree.atlas as atlas_module
 from spantree import (
     AtlasRecord,
+    Graph,
     alpha_exact,
     atlas_filename,
     azarija_skrekovski_bound,
     exact_atlas,
+    is_connected,
     load_atlas,
     load_atlas_dir,
     save_atlas,
     sedlacek_bound,
+    tau,
     verify_lower_bound,
 )
 
@@ -34,9 +38,16 @@ _MALFORMED = {
     "size-mismatch": ("atlas_3.json", json.dumps(dict(_GOOD, size=1)), "size is 1"),
     "non-decimal": ("atlas_3.json", json.dumps(dict(_GOOD, values=["1", "3.0"])), "decimal"),
     "unsorted": ("atlas_3.json", json.dumps(dict(_GOOD, values=["3", "1"])), "ascending"),
+    "no-tree": ("atlas_3.json", json.dumps(dict(_GOOD, size=1, values=["3"])), "from 1"),
+    "not-cayley": (
+        "atlas_2.json",
+        json.dumps(dict(_GOOD, n=2, values=["1", "2"])),
+        r"to 1 \(the complete graph\)",
+    ),
     "duplicate": ("atlas_3.json", json.dumps(dict(_GOOD, values=["3", "3"])), "ascending"),
     "zero": ("atlas_3.json", json.dumps(dict(_GOOD, values=["0", "3"])), "positive"),
     "n-zero": ("atlas_0.json", json.dumps(dict(_GOOD, n=0)), "n must be >= 1"),
+    "n-huge": ("atlas_1000000000.json", json.dumps(dict(_GOOD, n=10**9)), "<= 8"),
     "name-mismatch": ("atlas_4.json", json.dumps(_GOOD), "must be named atlas_3.json"),
 }
 
@@ -76,6 +87,17 @@ class TestExactAtlas:
         # observation only; nothing beyond the computed range is claimed
         for record in small_atlases.values():
             assert 2 not in record.values
+
+    def test_matches_tau_of_every_connected_subset(self, small_atlases):
+        # one Graph and one tau per edge subset: no code shared with the kernel
+        for n in range(1, 7):
+            pairs = list(combinations(range(n), 2))
+            graphs = (
+                Graph(n, tuple(p for i, p in enumerate(pairs) if mask >> i & 1))
+                for mask in range(1 << len(pairs))
+            )
+            taus = {tau(g) for g in graphs if is_connected(g)}
+            assert small_atlases[n].values == tuple(sorted(taus))
 
     def test_worker_split_matches_inline(self, small_atlases, monkeypatch):
         # shrink the batch so n=5 genuinely exercises the pool + merge path

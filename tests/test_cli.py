@@ -8,21 +8,27 @@ import pytest
 
 import spantree
 import spantree.atlas as atlas_module
-from spantree import exact_atlas, save_atlas
+import spantree.cli as cli
+from spantree import PartClass, count_partitions_up_to, exact_atlas, save_atlas
 from spantree.cli import main
 
 # argv -> the exact stdout it prints ({atlas} is the atlas_dir fixture)
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text(encoding="utf-8"))
 
-# inputs that must exit 2 with one error line: bad output paths and
-# malformed atlas directories ({bad} is the bad_inputs fixture)
+# inputs that must exit 2 with one error line naming the bad path: bad
+# output paths, a non-UTF-8 edge list and malformed atlas directories
+# ({bad} is the bad_inputs fixture)
 FAILING = [
     "witness --n 5 --emit {bad}/afile",
     "witness --n 5 --emit {bad}/afile/sub",
     "atlas --n 3 --jobs 1 --out {bad}/missing/atlas_3.json",
+    "tau --input {bad}/latin1.edgelist",
     "alpha --m 2 --atlas-dir {bad}/nonjson",
+    "alpha --m 2 --atlas-dir {bad}/notutf8",
     "alpha --m 2 --atlas-dir {bad}/oversized",
+    "alpha --m 2 --atlas-dir {bad}/twotree",
     "bounds --max-n 3 --atlas-dir {bad}/novalues",
+    "bounds --max-n 3 --atlas-dir {bad}/hugen",
 ]
 
 
@@ -50,14 +56,21 @@ def atlas_dir(tmp_path_factory):
 def bad_inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("bad")
     (directory / "afile").write_text("x")
+    (directory / "latin1.edgelist").write_bytes(b"# caf\xe9\nn 2\n0 1\n")
     one = {"n": 1, "size": 1, "values": ["1"], "graphs_scanned": 1, "elapsed_ms": 0}
-    for name, text in {
-        "nonjson": "not json{",
-        "novalues": json.dumps({k: v for k, v in one.items() if k != "values"}),
-        "oversized": json.dumps(dict(one, values=["1", "2"])),
+    two = {"n": 2, "size": 2, "values": ["1", "2"], "graphs_scanned": 2, "elapsed_ms": 0}
+    for name, files in {
+        "nonjson": {"atlas_1.json": "not json{"},
+        "notutf8": {"atlas_1.json": "\xff"},
+        "novalues": {"atlas_1.json": json.dumps({k: v for k, v in one.items() if k != "values"})},
+        "oversized": {"atlas_1.json": json.dumps(dict(one, values=["1", "2"]))},
+        # well formed, but no graph on 2 vertices has 2 spanning trees
+        "twotree": {"atlas_1.json": json.dumps(one), "atlas_2.json": json.dumps(two)},
+        "hugen": {"atlas_1000000000.json": json.dumps(dict(one, n=10**9))},
     }.items():
         (directory / name).mkdir()
-        (directory / name / "atlas_1.json").write_text(text)
+        for file_name, text in files.items():  # latin-1 writes "\xff" as the byte 0xff
+            (directory / name / file_name).write_bytes(text.encode("latin-1"))
     return directory
 
 
@@ -72,6 +85,7 @@ def test_golden(run, atlas_dir, bad_inputs, argv, code, stdout):
         assert err == ""
     else:
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad_inputs) in err
 
 
 class TestTau:
@@ -226,6 +240,27 @@ class TestAtlas:
     def test_hard_cap(self, run):
         assert run("atlas", "--n", "9", "--force")[0] == 2
 
+    def test_out_checked_before_scan(self, run, tmp_path, monkeypatch):
+        def scan(*args, **kwargs):
+            raise AssertionError("scanned before --out was checked")
+
+        monkeypatch.setattr(cli, "exact_atlas", scan)
+        for out in (tmp_path / "missing" / "atlas_3.json", tmp_path):
+            code, _, err = run("atlas", "--n", "3", "--out", str(out))
+            assert code == 2 and str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_scan_writes_nothing(self, run, tmp_path, monkeypatch):
+        def scan(*args, **kwargs):
+            raise ValueError("scan failed")
+
+        monkeypatch.setattr(cli, "exact_atlas", scan)
+        kept = tmp_path / "atlas_3.json"
+        kept.write_text("old")
+        for out in (kept, tmp_path / "atlas_4.json"):
+            assert run("atlas", "--n", "3", "--out", str(out))[0] == 2
+        assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "old"
+
     def test_progress_only_on_stderr(self, run, monkeypatch):
         monkeypatch.setattr(atlas_module, "_BATCH", 1 << 6)  # n = 5 now runs in parallel
         argv = ["atlas", "--n", "5", "--jobs", "2", "--format", "json"]
@@ -282,6 +317,17 @@ class TestBounds:
 
     def test_bad_range(self, run):
         assert run("bounds", "--max-n", "0")[0] == 2
+
+    def test_one_partition_table(self, run, monkeypatch):
+        calls = []
+
+        def counting(n, part_class):
+            calls.append((n, part_class))
+            return count_partitions_up_to(n, part_class)
+
+        monkeypatch.setattr(cli, "count_partitions_up_to", counting)
+        assert run("bounds", "--max-n", "40")[0] == 0
+        assert calls == [(40, PartClass.ODD_PRIME)]
 
 
 class TestAsymptotics:
