@@ -304,7 +304,8 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     Well formed: a JSON object with every field of ``_ATLAS_FIELDS`` at its
     type, 1 <= n <= ``HARD_CAP``, and ``values`` strictly ascending positive
     decimal strings, ``size`` of them, from 1 (a tree) to the count of the
-    complete graph (Cayley's n^(n-2)).
+    complete graph (Cayley's n^(n-2)).  A value string longer than that
+    count is rejected before any value is converted.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -319,15 +320,18 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     raw = payload["values"]
     if not all(type(s) is str and s.isascii() and s.isdigit() for s in raw):
         raise ValueError(f"{path}: values must be decimal strings")
-    values = tuple(map(int, raw))
     n = payload["n"]
     if not 1 <= n <= HARD_CAP:  # the cap also keeps n^(n-2) below cheap
         raise ValueError(f"{path}: n must be >= 1 and <= {HARD_CAP}")
+    cayley = n ** (n - 2) if n > 2 else 1
+    digits = len(str(cayley))
+    if any(len(s) > digits for s in raw):  # before int(), which refuses 4,300+ digits
+        raise ValueError(f"{path}: values must have at most {digits} digits")
+    values = tuple(map(int, raw))
     if payload["size"] != len(values):
         raise ValueError(f"{path}: size is {payload['size']} but there are {len(values)} values")
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError(f"{path}: values must be strictly ascending")
-    cayley = n ** (n - 2) if n > 2 else 1
     if values[:1] != (1,) or values[-1:] != (cayley,):
         raise ValueError(f"{path}: values must be positive, from 1 (a tree) to {cayley} "
                          f"(the complete graph)")

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, cycle, identify, path
+from .graphs import Graph, identify, path
 from .partitions import Partition, p_set_enumerate, primes_up_to, product_of_parts
 
 __all__ = [
@@ -78,10 +78,13 @@ def flower(parts: Partition | Sequence[int]) -> Graph:
         raise ValueError("flower needs at least one cycle")
     if any(x < 3 for x in lengths):
         raise ValueError("cycle lengths must be >= 3")
-    g = cycle(lengths[0])
-    for x in lengths[1:]:
-        g = identify(g, 0, cycle(x), 0)
-    return g
+    edges: list[tuple[int, int]] = []
+    n = 1
+    for x in lengths:  # ring 0, n, n+1, ..., n+x-2
+        ring = [0, *range(n, n + x - 1)]
+        edges.extend(zip(ring, ring[1:] + ring[:1]))
+        n += x - 1
+    return Graph(n, tuple(edges))
 
 
 def build_witness(p: Partition, n: int) -> Witness:

@@ -54,6 +54,15 @@ def det_cofactor(mat: list[list[int]]) -> int:
     return total
 
 
+def principal_minor(mat: list[list[int]], strike: int) -> list[list[int]]:
+    """Copy of ``mat`` with row and column ``strike`` removed."""
+    return [
+        [x for j, x in enumerate(row) if j != strike]
+        for i, row in enumerate(mat)
+        if i != strike
+    ]
+
+
 def random_multigraph(
     rng: random.Random, *, max_vertices: int = 6, max_edges: int = 8, max_mult: int = 3
 ) -> Graph:

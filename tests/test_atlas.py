@@ -47,6 +47,11 @@ _MALFORMED = {
     "duplicate": ("atlas_3.json", json.dumps(dict(_GOOD, values=["3", "3"])), "ascending"),
     "zero": ("atlas_3.json", json.dumps(dict(_GOOD, values=["0", "3"])), "positive"),
     "n-zero": ("atlas_0.json", json.dumps(dict(_GOOD, n=0)), "n must be >= 1"),
+    "long-value": (
+        "atlas_3.json",
+        json.dumps(dict(_GOOD, values=["1", "9" * 5000])),
+        "atlas_3.json: values must have at most 1 digits",
+    ),
     "n-huge": ("atlas_1000000000.json", json.dumps(dict(_GOOD, n=10**9)), "<= 8"),
     "name-mismatch": ("atlas_4.json", json.dumps(_GOOD), "must be named atlas_3.json"),
 }

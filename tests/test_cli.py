@@ -27,6 +27,7 @@ FAILING = [
     "alpha --m 2 --atlas-dir {bad}/notutf8",
     "alpha --m 2 --atlas-dir {bad}/oversized",
     "alpha --m 2 --atlas-dir {bad}/twotree",
+    "alpha --m 3 --atlas-dir {bad}/longvalue",
     "bounds --max-n 3 --atlas-dir {bad}/novalues",
     "bounds --max-n 3 --atlas-dir {bad}/hugen",
 ]
@@ -67,6 +68,8 @@ def bad_inputs(tmp_path_factory):
         # well formed, but no graph on 2 vertices has 2 spanning trees
         "twotree": {"atlas_1.json": json.dumps(one), "atlas_2.json": json.dumps(two)},
         "hugen": {"atlas_1000000000.json": json.dumps(dict(one, n=10**9))},
+        # more digits than int() converts by default
+        "longvalue": {"atlas_3.json": json.dumps(dict(one, n=3, size=2, values=["1", "3" * 5000]))},
     }.items():
         (directory / name).mkdir()
         for file_name, text in files.items():  # latin-1 writes "\xff" as the byte 0xff
@@ -107,6 +110,13 @@ class TestTau:
         target = tmp_path / "g.edgelist"
         target.write_text("n 2\n")
         assert run("tau", "--input", str(target)) == (0, "0\n", "")
+
+    def test_edgeless_huge_input(self, capped_python, tmp_path):
+        # fewer edges than a tree needs: 0 before anything of size n exists
+        target = tmp_path / "g.edgelist"
+        target.write_text("n 1000000000\n")
+        proc = capped_python("-m", "spantree", "tau", "--input", str(target))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
     def test_json_and_csv(self, run):
         code, out, _ = run("tau", "--flower", "3,3", "--format", "json")

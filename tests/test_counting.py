@@ -1,12 +1,17 @@
 import random
+import time
 from itertools import combinations
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spantree.spanning as spanning
 from spantree import (
     Graph,
+    Partition,
+    build_witness,
     complete,
     contract_edge,
     cycle,
@@ -19,7 +24,7 @@ from spantree import (
     tau_bruteforce,
 )
 
-from oracles import det_cofactor, random_multigraph
+from oracles import det_cofactor, principal_minor, random_multigraph
 
 
 class TestLaplacian:
@@ -71,7 +76,7 @@ class TestTau:
             assert tau(cycle(k)) == k
 
     def test_cayley(self):
-        for n in range(3, 13):
+        for n in range(3, 41):
             assert tau(complete(n)) == n ** (n - 2)
 
     def test_parallel_edges(self):
@@ -128,3 +133,156 @@ def test_deletion_contraction(mask, edge_index):
         return
     e = g.edges[edge_index % len(g.edges)][:2]
     assert tau(g) == tau(delete_edge(g, e)) + tau(contract_edge(g, e))
+
+
+def dense_tau(g: Graph) -> int:
+    """The dense route: Bareiss on the whole struck Laplacian."""
+    if g.n_vertices == 0:
+        return 0
+    return det_fraction_free(principal_minor(laplacian(g), 0))
+
+
+def relabel(g: Graph, label: list[int]) -> Graph:
+    return Graph(g.n_vertices, tuple((label[u], label[v], m) for u, v, m in g.edges))
+
+
+def cactus_chain(lengths: list[int], bridges: list[int]) -> Graph:
+    """Disjoint cycles joined in a line by bridges of the given multiplicities."""
+    edges = []
+    start = 0
+    for i, length in enumerate(lengths):
+        edges += [(start + j, start + (j + 1) % length) for j in range(length)]
+        if i:
+            edges.append((start - 1, start, bridges[i - 1]))
+        start += length
+    return Graph(start, tuple(edges))
+
+
+def core_with_attachments(rng: random.Random, core: int, n_cycles: int, n_paths: int) -> Graph:
+    """A dense random multigraph with cycles and long paths glued to random vertices."""
+    edges = [
+        (u, v, rng.randint(1, 3))
+        for u, v in combinations(range(core), 2)
+        if rng.random() < 0.7
+    ]
+    n = core
+    for _ in range(n_cycles):
+        ring = [rng.randrange(n), *range(n, n + rng.randint(2, 12))]
+        n = ring[-1] + 1
+        edges += [(a, b, rng.randint(1, 2)) for a, b in zip(ring, ring[1:] + ring[:1])]
+    for _ in range(n_paths):
+        chain = [rng.randrange(n), *range(n, n + rng.randint(1, 25))]
+        n = chain[-1] + 1
+        edges += [(a, b, rng.randint(1, 2)) for a, b in zip(chain, chain[1:])]
+    return Graph(n, tuple(edges))
+
+
+@st.composite
+def multigraphs(draw, max_vertices: int = 14):
+    n = draw(st.integers(0, max_vertices))
+    if n < 2:
+        return Graph(n)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+        lambda t: (t[0], (t[0] + t[1]) % n)  # two distinct endpoints
+    )
+    entries = draw(st.lists(st.tuples(pair, st.integers(1, 3)), max_size=3 * n))
+    return Graph(n, tuple((u, v, m) for (u, v), m in entries))
+
+
+class TestTauProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(g=multigraphs())
+    def test_matches_dense_oracle(self, g):
+        assert tau(g) == dense_tau(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=multigraphs(max_vertices=7))
+    def test_matches_bruteforce(self, g):
+        if comb(g.n_edges, max(g.n_vertices - 1, 0)) <= 20_000:
+            assert tau(g) == tau_bruteforce(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_relabelling_invariant(self, data):
+        g = data.draw(multigraphs())
+        label = data.draw(st.permutations(range(g.n_vertices)))
+        assert tau(relabel(g, label)) == tau(g)
+
+    def test_parallel_bridges(self):
+        # two triangles joined by a 4-fold bridge, then a 2-fold pendant edge
+        g = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3, 4), (5, 6, 2)))
+        assert tau(g) == dense_tau(g) == 3 * 3 * 4 * 2
+
+    def test_pendant_multi_edges(self):
+        # a star of multi-edges is a tree of bundles: the product of the bundles
+        for centre in (0, 3):
+            leaves = [v for v in range(6) if v != centre]
+            g = Graph(6, tuple((centre, v, v + 1) for v in leaves))
+            assert tau(g) == prod(v + 1 for v in leaves)
+
+    def test_disconnected_inputs(self):
+        assert tau(Graph(5, ((0, 1, 2), (1, 2), (3, 4, 3)))) == 0
+        assert tau(Graph(6, tuple(complete(5).edges))) == 0  # an isolated vertex
+        assert tau(Graph(40, tuple(cycle(39).edges))) == 0  # enough edges, one vertex left out
+
+    def test_too_few_edges_allocates_nothing(self, capped_python):
+        proc = capped_python("-c", (
+            "import time\n"
+            "from spantree import Graph, tau\n"
+            "start = time.perf_counter()\n"
+            "print(tau(Graph(10**9)), tau(Graph(10**9, ((0, 1),))))\n"
+            "print(time.perf_counter() - start < 0.1)\n"
+        ))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\nTrue\n", "")
+
+    def test_dense_core_with_attachments(self, monkeypatch):
+        """Sparse steps on the attachments, then a dense finish of the core."""
+        finishes = []
+
+        def spy(block, prev):
+            finishes.append((len(block), prev))
+            return bareiss(block, prev)
+
+        bareiss = spanning._bareiss
+        monkeypatch.setattr(spanning, "_bareiss", spy)
+        rng = random.Random(13)
+        for _ in range(12):
+            g = core_with_attachments(rng, core=12, n_cycles=6, n_paths=6)
+            label = list(range(g.n_vertices))
+            rng.shuffle(label)
+            g = relabel(g, label)
+            finishes.clear()
+            value = tau(g)
+            # the sparse stage ran (its last pivot divides the first dense
+            # step) and left more than one row to the dense loop
+            [(size, prev)] = finishes
+            assert size > 1 and prev > 1
+            assert value == dense_tau(g) > 0
+
+
+class TestTauFamilies:
+    def test_long_path_and_cycle(self):
+        for g, expected in ((path(2000), 1), (cycle(2000), 2000)):
+            start = time.perf_counter()
+            assert tau(g) == expected
+            assert time.perf_counter() - start < 2.0
+
+    def test_cactus_chains(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            lengths = [rng.randint(3, 15) for _ in range(rng.randint(1, 12))]
+            bridges = [rng.randint(1, 4) for _ in lengths[1:]]
+            g = cactus_chain(lengths, bridges)
+            label = list(range(g.n_vertices))
+            rng.shuffle(label)
+            assert tau(relabel(g, label)) == prod(lengths) * prod(bridges)
+
+    def test_all_threes_witness(self):
+        w = build_witness(Partition((3,) * 160), 480)
+        assert tau(w.graph) == w.tau_value == 3**160
+
+    def test_uniform_complete(self):
+        for n in range(2, 16):
+            for m in (2, 3):
+                g = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
+                assert tau(g) == m ** (n - 1) * n ** (n - 2)

@@ -46,6 +46,15 @@ class TestFlower:
         with pytest.raises(ValueError):
             flower(())
 
+    def test_equals_identify_chain(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            parts = random_odd_prime_partition(rng, 60)
+            chained = cycle(parts[0])
+            for x in parts[1:]:
+                chained = identify(chained, 0, cycle(x), 0)
+            assert flower(parts) == chained
+
     def test_nonprime_lengths_allowed(self):
         # flowers are defined for any cycle lengths, primality is a
         # witness-level restriction
