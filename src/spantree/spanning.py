@@ -1,26 +1,57 @@
 """Exact spanning-tree counts via the matrix-tree identity.
 
-Everything here is integer arithmetic on Python ints; no floating point is
-involved at any step, so counts stay exact at any magnitude.  All functions
-are pure and keep no shared state, which makes them safe to call from
-concurrent workers.
+No floating point is involved at any step, so counts stay exact at any
+magnitude.  Elimination runs on Python ints, except that dense blocks of
+at least _MODULAR_ROWS rows are eliminated on int64 residues modulo primes
+below 2^26, and the count is rebuilt from those by the Chinese remainder
+theorem.  All functions are pure.  The one shared state is a cache of
+sieved prime windows, filled on first use (not at import) with values that
+depend on nothing else, so the functions are safe to call from concurrent
+workers.
 
 `tau` eliminates the struck Laplacian fraction-free (Bareiss) with pivots
 taken in greedy minimum-degree order.  While the active rows are sparse they
 are dicts, and a step rewrites only the pivot's neighbour rows.  Every other
 row keeps the step of its last update and is rescaled when next touched;
 the rescale divides exactly because every entry of the active block is a
-minor of the integer matrix.  Once the next pivot row is dense, the active
-block is finished by the same list-of-lists loop as `det_fraction_free`.
+minor of the integer matrix.  Once the next pivot row is dense, `_finish`
+takes the active block: below _MODULAR_ROWS rows to the list-of-lists loop
+of `det_fraction_free`, from there on to the multimodular determinant.
+
+Why the multimodular finish is exact.  Let B be the k x k active block left
+after pivots p_1..p_t, and prev = p_t (1 when nothing was eliminated).  B /
+prev is the Schur complement of the eliminated rows in the struck
+Laplacian, so it is positive semidefinite, and τ = prev * det(B / prev) =
+det(B) / prev^(k-1).  Hadamard's inequality for positive semidefinite
+matrices bounds det(B / prev) by the product of its diagonal, so
+0 <= τ <= ∏ B_ii // prev^(k-1), the floor because τ is an integer.  For a
+prime p that does not divide prev, τ = det(B) * prev^-(k-1) mod p, and the
+residues for primes whose product exceeds the bound fix τ by the Chinese
+remainder theorem.
+
+Why int64 does not overflow.  Entries of B beyond int64 (large
+multiplicities, or minors after a long sparse stage) are reduced modulo
+each prime as Python ints first, so every working entry starts in [0, p)
+with p < 2^26.  A step reduces the pivot column and the pivot row, scales
+the row by the pivot's inverse and reduces it again, and subtracts from
+each trailing entry the product of one entry of each.  Every product is of
+two residues, so below 2^52.  The whole trailing block is reduced every
+_REDUCE_EVERY = 2^10 steps, so an entry stays in (-2^62, 2^26) whatever
+the size of the block.
 """
 
 from __future__ import annotations
 
 import heapq
-from itertools import combinations
-from math import comb
+from functools import cache
+from itertools import chain, combinations
+from math import comb, isqrt, prod
+from typing import Iterator
+
+import numpy as np
 
 from .graphs import Graph
+from .partitions import primes_up_to
 
 # Square matrix of exact integers, row-major.
 IntMatrix = list[list[int]]
@@ -28,6 +59,18 @@ IntMatrix = list[list[int]]
 # `tau` eliminates dense lists, not dicts, once the next pivot row has a
 # nonzero in at least 1/_DENSE_SHARE of the active columns
 _DENSE_SHARE = 4
+# dense blocks with fewer rows are finished by `_bareiss`, larger ones
+# modulo primes (the measured crossover of the two)
+_MODULAR_ROWS = 24
+# the primes lie below 2^_PRIME_BITS, so a product of two residues is < 2^52
+_PRIME_BITS = 26
+# primes are sieved in windows of this many consecutive integers
+_PRIME_WINDOW = 1 << 14
+# int64 entries per working array of the multimodular finish
+_CHUNK_ENTRIES = 1 << 16
+# steps between reductions of the whole trailing block; below 2^11 each
+# entry stays inside int64 (see the module docstring)
+_REDUCE_EVERY = 1 << 10
 
 
 def laplacian(g: Graph) -> IntMatrix:
@@ -90,6 +133,119 @@ def _bareiss(m: IntMatrix, prev: int) -> int:
     return sign * m[k - 1][k - 1]
 
 
+def _finish(block: IntMatrix, prev: int) -> int:
+    """τ from the dense active block of a struck Laplacian.
+
+    ``block`` and ``prev`` are as for `_bareiss`.  Blocks of fewer than
+    _MODULAR_ROWS rows go to `_bareiss`.  Larger ones go to `_det_mod`,
+    in chunks of at most _CHUNK_ENTRIES int64 entries, modulo primes that
+    do not divide ``prev`` until their product exceeds the Hadamard bound
+    on τ; the residues of τ are then combined by the Chinese remainder
+    theorem (the argument is in the module docstring).
+    """
+    k = len(block)
+    if k < _MODULAR_ROWS:
+        return _bareiss(block, prev)
+    bound = prod(block[i][i] for i in range(k)) // prev ** (k - 1)
+    primes: list[int] = []
+    cover = 1
+    for p in _primes():
+        if prev % p:
+            primes.append(p)
+            cover *= p
+            if cover > bound:
+                break
+    else:  # the bound outgrows every prime below 2^26, about 2^(9.7 * 10^7)
+        return _bareiss(block, prev)
+    try:
+        mat = np.array(block, dtype=np.int64)
+    except OverflowError:  # entries beyond int64 are reduced as Python ints
+        mat = np.array(block, dtype=object)
+    per_chunk = max(1, _CHUNK_ENTRIES // (k * k))
+    work = np.empty((min(per_chunk, len(primes)), k, k), dtype=np.int64)
+    scratch = np.empty(work.size, dtype=np.int64)
+    value, modulus = 0, 1
+    for start in range(0, len(primes), per_chunk):
+        chunk = primes[start : start + per_chunk]
+        a = work[: len(chunk)]
+        for a_p, p in zip(a, chunk):
+            a_p[...] = mat % p
+        for p, d in zip(chunk, _det_mod(a, chunk, scratch)):
+            r = d * pow(prev, 1 - k, p)  # τ mod p, up to a multiple of p
+            value += modulus * ((r - value) * pow(modulus, -1, p) % p)
+            modulus *= p
+    return value
+
+
+def _det_mod(a: np.ndarray, primes: list[int], scratch: np.ndarray) -> list[int]:
+    """Determinant of ``a[i]`` modulo ``primes[i]``, eliminating ``a`` in place.
+
+    ``a`` holds residues in [0, p) on entry.  Each step reduces the pivot
+    column and picks, for each prime alone, the first row at or below the
+    diagonal that is nonzero there, so a pivot that vanishes modulo one
+    prime is swapped away for that prime only; with no such row the residue
+    is 0.  It then reduces the pivot row, scales it by the pivot's inverse
+    and subtracts the outer product of column and row from the trailing
+    block (the overflow argument is in the module docstring).  ``scratch``
+    holds at least ``a.size`` entries and receives the outer products, so
+    nothing of size k^2 is allocated per step.
+    """
+    n_p, k, _ = a.shape
+    mods = np.array(primes, dtype=np.int64)
+    col_mods = mods[:, None]
+    det = [1] * n_p
+    for c in range(k):
+        if c and c % _REDUCE_EVERY == 0:
+            trailing = a[:, c:, c:]
+            np.remainder(trailing, mods[:, None, None], out=trailing)
+        col = a[:, c:, c]
+        np.remainder(col, col_mods, out=col)
+        if not col[:, 0].all():
+            below = c + (col != 0).argmax(axis=1)  # c where the column is all zero
+            for i in np.flatnonzero(below != c).tolist():
+                r = below[i]
+                a[i, [c, r], c:] = a[i, [r, c], c:]
+                det[i] = -det[i]
+        pivots = col[:, 0].tolist()
+        det = [d * x % p for d, x, p in zip(det, pivots, primes)]
+        m = k - 1 - c
+        if not m:
+            break
+        inv = [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)]
+        inv = np.array(inv, dtype=np.int64)
+        row = a[:, c, c + 1 :]
+        np.remainder(row, col_mods, out=row)
+        np.multiply(row, inv[:, None], out=row)
+        np.remainder(row, col_mods, out=row)
+        outer = scratch[: n_p * m * m].reshape(n_p, m, m)
+        np.multiply(col[:, 1:, None], row[:, None, :], out=outer)
+        trailing = a[:, c + 1 :, c + 1 :]
+        np.subtract(trailing, outer, out=trailing)
+    return det
+
+
+def _primes() -> Iterator[int]:
+    """The primes below 2^_PRIME_BITS, descending."""
+    top = 1 << _PRIME_BITS
+    return chain.from_iterable(map(_prime_window, range(top // _PRIME_WINDOW)))
+
+
+@cache
+def _prime_window(i: int) -> tuple[int, ...]:
+    """The primes in the i-th window below 2^_PRIME_BITS, descending.
+
+    Sieved by the primes up to the window's square root on first use, so
+    nothing is computed at import and every process sees the same list.
+    """
+    hi = (1 << _PRIME_BITS) - i * _PRIME_WINDOW
+    lo = hi - _PRIME_WINDOW
+    flags = np.ones(_PRIME_WINDOW, dtype=bool)
+    flags[: max(0, 2 - lo)] = False
+    for q in primes_up_to(isqrt(hi - 1)):
+        flags[max(q * q, -(-lo // q) * q) - lo :: q] = False
+    return tuple((lo + np.flatnonzero(flags))[::-1].tolist())
+
+
 def tau(g: Graph) -> int:
     """Number of spanning trees of ``g``, exactly.
 
@@ -120,11 +276,11 @@ def tau(g: Graph) -> int:
     determinant vanishes.
 
     Once the next pivot row has a nonzero in at least 1/_DENSE_SHARE of
-    the active columns, the active rows are brought up to date and finished
-    by the dense loop of `det_fraction_free`, started with the last pivot as
-    divisor.  Every row holds at least its diagonal, so the sparse stage
-    always ends this way, at the latest with _DENSE_SHARE rows left.  A graph
-    that passes the test at the start, such as K_n, never builds dicts.
+    the active columns, the active rows are brought up to date and handed,
+    with the last pivot, to `_finish`.  Every row holds at least its
+    diagonal, so the sparse stage always ends this way, at the latest with
+    _DENSE_SHARE rows left.  A graph that passes the test at the start, such
+    as K_n, goes to `_finish` without building dicts.
     """
     n = g.n_vertices
     if n <= 1:
@@ -139,7 +295,7 @@ def tau(g: Graph) -> int:
             size[v] += 1
     active = n - 1
     if _DENSE_SHARE * min(size[1:]) >= active:
-        return _bareiss([row[1:] for row in laplacian(g)[1:]], 1)
+        return _finish([row[1:] for row in laplacian(g)[1:]], 1)
 
     rows: list[dict[int, int] | None] = [{v: 0} for v in range(n)]
     for u, v, m in g.edges:
@@ -169,7 +325,7 @@ def tau(g: Graph) -> int:
                 for j, x in rows[i].items():
                     line[col[j]] = x * prev // base
                 block.append(line)
-            return _bareiss(block, prev)
+            return _finish(block, prev)
         rows[v] = None
         active -= 1
         base = pivots[step[v]]

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, identify, path
-from .partitions import Partition, p_set_enumerate, primes_up_to, product_of_parts
+from .graphs import Graph
+from .partitions import Partition, p_set_enumerate, product_of_parts
+from .partitions import primes_up_to  # noqa: F401  perfbench's tracer test wraps this import site
 
 __all__ = [
     "Witness",
@@ -78,13 +80,18 @@ def flower(parts: Partition | Sequence[int]) -> Graph:
         raise ValueError("flower needs at least one cycle")
     if any(x < 3 for x in lengths):
         raise ValueError("cycle lengths must be >= 3")
+    return Graph(sum(lengths) - len(lengths) + 1, tuple(_flower_edges(lengths)))
+
+
+def _flower_edges(lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """Edges of `flower(lengths)`: the rings through vertex 0, in order."""
     edges: list[tuple[int, int]] = []
     n = 1
     for x in lengths:  # ring 0, n, n+1, ..., n+x-2
         ring = [0, *range(n, n + x - 1)]
         edges.extend(zip(ring, ring[1:] + ring[:1]))
         n += x - 1
-    return Graph(n, tuple(edges))
+    return edges
 
 
 def build_witness(p: Partition, n: int) -> Witness:
@@ -93,19 +100,23 @@ def build_witness(p: Partition, n: int) -> Witness:
     Requires every part to be an odd prime and ``sum(parts) <= n``.  The
     flower has ``s - k + 1`` vertices, so a path on ``n - s + k`` vertices,
     merged endpoint-to-hub, lands on n exactly; a one-vertex path is the
-    degenerate no-op case.
+    degenerate no-op case.  Flower and path are emitted as one edge list,
+    labelled as ``identify(flower(p), 0, path(n - s + k), 0)`` labels them.
     """
     if not p.parts:
         raise ValueError("partition must be nonempty")
     s = p.total
     if s > n:
         raise ValueError(f"partition sum {s} exceeds target vertex count {n}")
-    odd_primes = set(primes_up_to(max(p.parts))) - {2}
-    if any(x not in odd_primes for x in p.parts):
+    if not all(_is_odd_prime(x) for x in set(p.parts)):
         raise ValueError("every part must be an odd prime")
-    k = len(p)
-    g = identify(flower(p), 0, path(n - s + k), 0)
+    tail = [0, *range(s - len(p) + 1, n)]  # the hub, then past the flower
+    g = Graph(n, (*_flower_edges(p.parts), *zip(tail, tail[1:])))
     return Witness(partition=p, graph=g, tau_value=product_of_parts(p.parts), n=n)
+
+
+def _is_odd_prime(x: int) -> bool:
+    return x > 2 and x % 2 == 1 and all(x % d for d in range(3, isqrt(x) + 1, 2))
 
 
 def witness_family(n: int) -> Iterator[Witness]:

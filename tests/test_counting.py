@@ -1,8 +1,9 @@
 import random
 import time
 from itertools import combinations
-from math import comb, prod
+from math import comb, isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,7 +77,7 @@ class TestTau:
             assert tau(cycle(k)) == k
 
     def test_cayley(self):
-        for n in range(3, 41):
+        for n in range(3, 121):
             assert tau(complete(n)) == n ** (n - 2)
 
     def test_parallel_edges(self):
@@ -236,28 +237,33 @@ class TestTauProperties:
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\nTrue\n", "")
 
     def test_dense_core_with_attachments(self, monkeypatch):
-        """Sparse steps on the attachments, then a dense finish of the core."""
+        """Sparse steps on the attachments, then a dense finish of the core.
+
+        A core of 12 is finished by Bareiss, a core of 40 modulo primes.
+        """
         finishes = []
 
         def spy(block, prev):
             finishes.append((len(block), prev))
-            return bareiss(block, prev)
+            return finish(block, prev)
 
-        bareiss = spanning._bareiss
-        monkeypatch.setattr(spanning, "_bareiss", spy)
+        finish = spanning._finish
+        monkeypatch.setattr(spanning, "_finish", spy)
         rng = random.Random(13)
-        for _ in range(12):
-            g = core_with_attachments(rng, core=12, n_cycles=6, n_paths=6)
-            label = list(range(g.n_vertices))
-            rng.shuffle(label)
-            g = relabel(g, label)
-            finishes.clear()
-            value = tau(g)
-            # the sparse stage ran (its last pivot divides the first dense
-            # step) and left more than one row to the dense loop
-            [(size, prev)] = finishes
-            assert size > 1 and prev > 1
-            assert value == dense_tau(g) > 0
+        for core, rounds in ((12, 12), (40, 3)):
+            for _ in range(rounds):
+                g = core_with_attachments(rng, core=core, n_cycles=6, n_paths=6)
+                label = list(range(g.n_vertices))
+                rng.shuffle(label)
+                g = relabel(g, label)
+                finishes.clear()
+                value = tau(g)
+                # the sparse stage ran (its last pivot divides the first
+                # dense step) and left more than one row to the dense finish
+                [(size, prev)] = finishes
+                assert size > 1 and prev > 1
+                assert (size >= spanning._MODULAR_ROWS) == (core == 40)
+                assert value == dense_tau(g) > 0
 
 
 class TestTauFamilies:
@@ -286,3 +292,116 @@ class TestTauFamilies:
             for m in (2, 3):
                 g = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
                 assert tau(g) == m ** (n - 1) * n ** (n - 2)
+
+
+def dense_multigraph(rng: random.Random, n: int, low: int = 1, high: int = 3) -> Graph:
+    """Each pair joined with probability 0.55-0.85, multiplicity in [low, high]."""
+    density = rng.uniform(0.55, 0.85)
+    edges = [
+        (u, v, rng.randint(low, high))
+        for u, v in combinations(range(n), 2)
+        if rng.random() < density
+    ]
+    return Graph(n, tuple(edges))
+
+
+def is_prime(x: int) -> bool:
+    return x > 1 and all(x % d for d in range(2, isqrt(x) + 1))
+
+
+class TestModularFinish:
+    """Dense blocks of at least _MODULAR_ROWS rows are finished modulo primes."""
+
+    def test_random_dense_multigraphs(self):
+        rng = random.Random(29)
+        crossover = spanning._MODULAR_ROWS
+        for k in (*range(crossover - 2, crossover + 3), 31, 47, 64, 89, 120):
+            g = dense_multigraph(rng, k + 1)
+            assert tau(g) == dense_tau(g)
+
+    def test_multiplicities_beyond_int64(self):
+        rng = random.Random(31)
+        for n in (26, 40):
+            g = dense_multigraph(rng, n, 2**63, 2**64)
+            assert tau(g) == dense_tau(g)
+
+    def test_two_disjoint_complete_graphs(self):
+        edges = complete(30).edges
+        g = Graph(60, edges + tuple((u + 30, v + 30) for u, v, _ in edges))
+        assert tau(g) == dense_tau(g) == 0
+
+    def test_pivot_zero_modulo_first_prime(self, monkeypatch):
+        """Vertex 1's degree is the first prime: the first pivot vanishes there only."""
+        first = next(spanning._primes())
+        g = Graph(30, complete(30).edges + ((1, 2, first - 29),))
+        assert laplacian(g)[1][1] == first
+        vanishing = []
+
+        def spy(a, primes, scratch):
+            vanishing.extend(p for a_p, p in zip(a, primes) if a_p[0, 0] % p == 0)
+            return det_mod(a, primes, scratch)
+
+        det_mod = spanning._det_mod
+        monkeypatch.setattr(spanning, "_det_mod", spy)
+        assert tau(g) == dense_tau(g)
+        assert vanishing == [first]
+
+    def test_det_mod_pivots_per_prime(self):
+        """Zero pivots and zero columns modulo one prime but not the others."""
+        rng = random.Random(37)
+        primes = [7, 11, 13]
+        for _ in range(200):
+            k = rng.randint(1, 7)
+            entries = (0, 0, 7, 11, 13, 77, 1, -1)
+            mat = [[rng.choice(entries) for _ in range(k)] for _ in range(k)]
+            a = np.array([[[x % p for x in row] for row in mat] for p in primes])
+            scratch = np.empty(a.size, dtype=np.int64)
+            det = det_fraction_free(mat)
+            assert spanning._det_mod(a, primes, scratch) == [det % p for p in primes]
+
+    def test_prime_chunks(self, monkeypatch):
+        shapes = []
+
+        def spy(a, primes, scratch):
+            shapes.append(a.shape)
+            return det_mod(a, primes, scratch)
+
+        det_mod = spanning._det_mod
+        monkeypatch.setattr(spanning, "_det_mod", spy)
+        g = dense_multigraph(random.Random(41), 100)
+        assert tau(g) == dense_tau(g)
+        assert len(shapes) > 1
+        assert all(np.prod(shape) <= spanning._CHUNK_ENTRIES for shape in shapes)
+
+    def test_periodic_reduction(self, monkeypatch):
+        monkeypatch.setattr(spanning, "_REDUCE_EVERY", 3)
+        rng = random.Random(43)
+        for n in (25, 33, 60):
+            g = dense_multigraph(rng, n)
+            assert tau(g) == dense_tau(g)
+
+    def test_primes_run_out(self, monkeypatch):
+        """A bound beyond every prime falls back to Bareiss."""
+        monkeypatch.setattr(spanning, "_primes", lambda: iter([13, 11, 7]))
+        assert tau(complete(30)) == 30**28
+
+    def test_primes(self):
+        bound = 299**299  # the Hadamard bound of K_300
+        primes, cover = [], 1
+        for p in spanning._primes():
+            primes.append(p)
+            cover *= p
+            if cover > bound:
+                break
+        assert cover > bound
+        assert len(set(primes)) == len(primes)
+        assert all(p < 2**26 and is_prime(p) for p in primes)
+
+    def test_primes_sieved_on_first_use(self, capped_python):
+        proc = capped_python("-c", (
+            "from spantree import complete, spanning\n"
+            "print(spanning._prime_window.cache_info().currsize)\n"
+            "spanning.tau(complete(25))\n"
+            "print(spanning._prime_window.cache_info().currsize)\n"
+        ))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n1\n", "")

@@ -83,8 +83,9 @@ class TestBuildWitness:
             build_witness(Partition((3, 7)), 9)
 
     def test_rejects_composite_part(self):
-        with pytest.raises(ValueError, match="odd prime"):
-            build_witness(Partition((9,)), 12)
+        for parts in ((9,), (3, 3, 25), (1, 3), (3, 5, 15), (7, 49)):
+            with pytest.raises(ValueError, match="odd prime"):
+                build_witness(Partition(parts), 60)
 
     def test_rejects_two(self):
         with pytest.raises(ValueError):
@@ -93,6 +94,13 @@ class TestBuildWitness:
     def test_rejects_empty_partition(self):
         with pytest.raises(ValueError):
             build_witness(Partition(()), 5)
+
+    def test_equals_identify_chain(self):
+        for n in range(3, 31):
+            for w in witness_family(n):
+                p = w.partition
+                chained = identify(flower(p), 0, path(n - p.total + len(p)), 0)
+                assert w.graph == chained
 
 
 class TestFamily:
