@@ -1,44 +1,42 @@
 """Exhaustive ground truth: every realizable spanning-tree count at small n.
 
 The atlas for n is the set of distinct spanning-tree counts over all simple
-connected graphs on n labeled vertices.  Distinct values need no
-isomorphism reduction, so the scan just walks all 2^C(n,2) edge subsets of
-the complete graph as bitmasks in a fixed lexicographic pair order.
+connected graphs on n labeled vertices, i.e. over the 2^C(n,2) edge subsets
+of the complete graph.  Every connected graph on n >= 2 vertices is one on
+n - 1 vertices plus a vertex joined to a nonempty subset of them (delete a
+leaf of a spanning tree), and isomorphic graphs share their count.  So the
+atlas is the set of ``tau`` values over the 2^(n-1) - 1 extensions of one
+graph per isomorphism class on n - 1 vertices.
 
-Per batch of masks the pipeline is array-shaped: unpack bits into struck
-Laplacians (vertex 0 deleted) and run fraction-free elimination on all of
-them without pivot search.  By the matrix-tree theorem the result is 0
-exactly for the disconnected subsets, so the elimination is also the
-connectivity test; zeros are dropped when the values are collected.
+The class lists grow the same way and are deduplicated by an exact
+canonical code.  A graph on k vertices is a bitmask over pairs in colex
+order (pair u < v is bit v(v-1)/2 + u), so joining vertex k - 1 to the
+subset S adds S << C(k-1, 2).  Its code is the least mask over all k!
+relabellings: the candidates' int64 bit rows times a table of each pair's
+bit under each permutation.  Codes stay below 2^21, since n <= ``HARD_CAP``
+= 8 needs no list past k = 7.
 
-A zero pivot needs no special case.  The struck Laplacian is positive
-semidefinite.  While earlier pivots are positive, the trailing block is
-the last of them (a leading minor) times a positive semidefinite Schur
-complement, whose zero diagonal entries have zero rows and columns; so a
-zero pivot leaves an all-zero trailing block and a final value of 0.  The
-next step divides by max(pivot, 1): for a connected graph every pivot is a
-leading minor of a positive definite matrix, hence positive, so nothing
-changes.  int64 never overflows through n = 10: intermediate entries are
-determinants of submatrices, Hadamard-bounded well below 2^63 (n = 8:
-about 1.3e6, squared in the update step still ~1.7e12).
-
-Work splits into disjoint mask ranges; each worker returns a local value
-set and the merge is set union, so the result cannot depend on worker
-count or scheduling.
+Workers take disjoint slices of the class list and the merge is set union,
+so the result cannot depend on worker count or scheduling.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import permutations, repeat
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from .graphs import Graph
+from .spanning import tau
 from .witness import witness_family
 
 __all__ = [
@@ -54,26 +52,22 @@ __all__ = [
     "save_atlas",
     "load_atlas",
     "load_atlas_dir",
-    "DEFAULT_CAP",
     "HARD_CAP",
 ]
 
-DEFAULT_CAP = 7
 HARD_CAP = 8
 
-# masks per vectorized batch
-_BATCH = 1 << 16
-
-# int64 elimination is exact through this size; see module docstring
-_MAX_EXACT_N = 10
+# relabelled masks per chunk of the canonical-code product
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
 class AtlasRecord:
     """Exact realizable-count set for one vertex count.
 
-    ``values`` is sorted ascending; ``graphs_scanned`` counts every edge
-    subset examined (2^C(n,2)); ``elapsed`` is wall-clock seconds.
+    ``values`` is sorted ascending; ``graphs_scanned`` is the number of
+    labelled edge subsets the atlas covers (2^C(n,2)), not the number of
+    graphs whose count was computed; ``elapsed`` is wall-clock seconds.
     """
 
     n: int
@@ -125,89 +119,94 @@ class LowerBoundReport:
         return self.ok
 
 
-def _scan_batch(n: int, lo: int, hi: int) -> set[int]:
-    """Distinct counts over connected graphs among masks [lo, hi)."""
-    if n == 1:
-        return {1} if lo <= 0 < hi else set()
-    us, vs = np.triu_indices(n, 1)  # the pairs in lexicographic order
-    masks = np.arange(lo, hi, dtype=np.int64)
-    bits = (masks >> np.arange(len(us), dtype=np.int64)[:, None]) & 1
-    # the batch is the last axis, so every elementwise step runs over
-    # contiguous runs of masks
-    lap = np.zeros((n, n, hi - lo), dtype=np.int64)
-    lap[us, vs] = lap[vs, us] = -bits
-    lap[range(n), range(n)] = -lap.sum(axis=1)
-    m = lap[1:, 1:]  # strike vertex 0
-
-    prev = 1
-    for col in range(n - 2):
-        pivot = m[col, col]
-        rest = slice(col + 1, None)
-        m[rest, rest] = (m[rest, rest] * pivot - m[rest, col, None] * m[None, col, rest]) // prev
-        prev = np.maximum(pivot, 1)  # a zero pivot left only zeros below it
-    det = m[-1, -1]
-    return set(np.unique(det[det > 0]).tolist())
+def _pairs(k: int) -> list[tuple[int, int]]:
+    """Vertex pairs of k vertices in colex order: (u, v) is bit v(v-1)/2 + u."""
+    return [(u, v) for v in range(k) for u in range(v)]
 
 
-def _scan_range(n: int, start: int, stop: int) -> set[int]:
+def _relabel_table(k: int) -> np.ndarray:
+    """Bit of each pair (rows) under each permutation of k vertices (columns)."""
+    perms = np.array(list(permutations(range(k))), dtype=np.int64)
+    us, vs = np.array(_pairs(k), dtype=np.int64).T
+    a, b = perms[:, us], perms[:, vs]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return (1 << (hi * (hi - 1) // 2 + lo)).T
+
+
+def _classes(k: int) -> list[int]:
+    """Canonical codes of the connected graphs on k vertices, ascending."""
+    codes = np.zeros(1, dtype=np.int64)  # the single vertex
+    for j in range(2, k + 1):
+        joins = np.arange(1, 1 << (j - 1), dtype=np.int64) << ((j - 1) * (j - 2) // 2)
+        candidates = (codes[:, None] | joins).ravel()
+        table = _relabel_table(j)
+        bits = np.arange(len(table))
+        step = max(1, _CHUNK_ENTRIES // table.shape[1])
+        least = [
+            (((chunk[:, None] >> bits) & 1) @ table).min(axis=1)
+            for chunk in np.split(candidates, range(step, len(candidates), step))
+        ]
+        codes = np.unique(np.concatenate(least))
+    return codes.tolist()
+
+
+def _extension_taus(n: int, codes: list[int]) -> set[int]:
+    """Distinct counts of the one-vertex extensions to n vertices of these classes."""
+    pairs = _pairs(n - 1)
+    joins = [
+        tuple((v, n - 1) for v in range(n - 1) if s >> v & 1) for s in range(1, 1 << (n - 1))
+    ]
     values: set[int] = set()
-    for lo in range(start, stop, _BATCH):
-        values |= _scan_batch(n, lo, min(lo + _BATCH, stop))
+    for code in codes:
+        edges = tuple(p for i, p in enumerate(pairs) if code >> i & 1)
+        values.update(tau(Graph(n, edges + join)) for join in joins)
     return values
 
 
-def exact_atlas(
-    n: int, *, jobs: int = 1, force: bool = False, progress: bool = False
-) -> AtlasRecord:
-    """Scan every edge subset of the complete graph on n labeled vertices.
+def exact_atlas(n: int, *, jobs: int = 1, progress: bool = False) -> AtlasRecord:
+    """Every spanning-tree count of a connected graph on n labeled vertices.
 
     Parameters
     ----------
     n : int
-        Vertex count, 1 <= n <= 7 by default; n = 8 (2^28 subsets) only
-        with ``force=True``; larger n refused outright.
+        Vertex count, 1 <= n <= ``HARD_CAP``.
     jobs : int
-        Worker processes.  The value set is identical for any jobs count.
-    force : bool
-        Permit the n = 8 run.
+        Worker processes, at least 1; no more start than there are cores
+        or classes to extend.  The value set is identical for any jobs count.
     progress : bool
-        Report chunk completion on stderr (useful for the forced run).
+        Report each finished worker slice on stderr.
 
     Returns
     -------
     AtlasRecord
-        Sorted distinct counts, subsets examined, elapsed seconds.
+        Sorted distinct counts, subsets covered, elapsed seconds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > HARD_CAP:
-        raise ValueError(f"n={n} exceeds the hard cap {HARD_CAP} (2^36+ subsets)")
-    if n > DEFAULT_CAP and not force:
-        raise ValueError(f"n={n} exceeds the default cap {DEFAULT_CAP}; pass force=True")
-    assert n <= _MAX_EXACT_N  # int64 elimination exactness margin
+        raise ValueError(f"n={n} exceeds the hard cap {HARD_CAP}")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
 
     start = time.perf_counter()
-    total = 1 << (n * (n - 1) // 2)
-    if jobs <= 1 or total <= _BATCH:
-        values = _scan_range(n, 0, total)
-    else:
-        chunk = -(-total // (jobs * 4))
-        chunk = -(-chunk // _BATCH) * _BATCH  # align to batch boundaries
-        spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        values = set()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_scan_range, n, a, b) for a, b in spans]
-            for done, fut in enumerate(futures, 1):
-                values |= fut.result()
+    values = {1}  # the single vertex; every larger atlas holds 1 too (trees)
+    if n > 1:
+        classes = _classes(n - 1)
+        workers = min(jobs, os.cpu_count() or 1, len(classes))
+        slices = [classes[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            run = map if pool is None else pool.map
+            for done, part in enumerate(run(_extension_taus, repeat(n), slices), 1):
+                values |= part
                 if progress:
-                    print(f"atlas n={n}: chunk {done}/{len(spans)}", file=sys.stderr, flush=True)
+                    print(f"atlas n={n}: slice {done}/{workers}", file=sys.stderr, flush=True)
     elapsed = time.perf_counter() - start
     ordered = tuple(sorted(values))
     return AtlasRecord(
         n=n,
         values=ordered,
         size=len(ordered),
-        graphs_scanned=total,
+        graphs_scanned=1 << (n * (n - 1) // 2),
         elapsed=elapsed,
     )
 
@@ -304,8 +303,9 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     Well formed: a JSON object with every field of ``_ATLAS_FIELDS`` at its
     type, 1 <= n <= ``HARD_CAP``, and ``values`` strictly ascending positive
     decimal strings, ``size`` of them, from 1 (a tree) to the count of the
-    complete graph (Cayley's n^(n-2)).  A value string longer than that
-    count is rejected before any value is converted.
+    complete graph (Cayley's n^(n-2)), ``graphs_scanned`` 2^C(n,2) and
+    ``elapsed_ms`` >= 0.  A value string longer than Cayley's count is
+    rejected before any value is converted.
     """
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -335,6 +335,11 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     if values[:1] != (1,) or values[-1:] != (cayley,):
         raise ValueError(f"{path}: values must be positive, from 1 (a tree) to {cayley} "
                          f"(the complete graph)")
+    subsets = 1 << (n * (n - 1) // 2)
+    if payload["graphs_scanned"] != subsets:
+        raise ValueError(f"{path}: graphs_scanned must be {subsets} (2^C(n,2))")
+    if payload["elapsed_ms"] < 0:
+        raise ValueError(f"{path}: elapsed_ms must be >= 0")
     return AtlasRecord(
         n=n,
         values=values,

@@ -18,7 +18,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .asymptotics import (
     check_lhospital,
@@ -27,7 +27,6 @@ from .asymptotics import (
     prime_main_term,
 )
 from .atlas import (
-    DEFAULT_CAP,
     HARD_CAP,
     alpha_exact,
     azarija_skrekovski_bound,
@@ -49,6 +48,12 @@ from .spanning import tau
 from .witness import flower, sidecar_json, witness_family
 
 _P_EXACT_LIMIT = 10_000
+
+# --list and witness refuse families larger than this.  Past _LIST_MAX_N
+# every family is larger: appending a part 3 shows that the odd-prime count
+# never falls from n - 3 to n, and it exceeds the limit at 1998..2000.
+_LIST_LIMIT = 10**6
+_LIST_MAX_N = 2_000
 
 # the literals int() accepts, so a bad --grid is reported by its option name
 _INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
@@ -84,6 +89,12 @@ def _render(fmt: str, out: _Output) -> None:
             print(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
 
 
+def _check_family_size(n: int, size: Callable[[int], int]) -> None:
+    """Refuse a family of more than _LIST_LIMIT members before building it."""
+    if n > _LIST_MAX_N or size(n) > _LIST_LIMIT:
+        raise ValueError(f"--n {n}: more than {_LIST_LIMIT:,} members to list")
+
+
 def _atlas_dir_arg(parser: argparse.ArgumentParser, required_hint: bool) -> None:
     parser.add_argument(
         "--atlas-dir",
@@ -114,6 +125,8 @@ def _cmd_partitions(args: argparse.Namespace) -> _Output:
         raise ValueError("--cumulative is defined only for --class oddprime")
     payload = {"n": args.n, "class": part_class.value, "cumulative": args.cumulative}
     if args.list:
+        size = p_set_size if args.cumulative else lambda n: count_partitions(n, part_class)
+        _check_family_size(args.n, size)
         stream = p_set_enumerate(args.n) if args.cumulative else enumerate_partitions(
             args.n, part_class
         )
@@ -127,6 +140,7 @@ def _cmd_partitions(args: argparse.Namespace) -> _Output:
 def _cmd_witness(args: argparse.Namespace) -> _Output:
     if args.n < 3:
         raise ValueError("--n must be >= 3")
+    _check_family_size(args.n, p_set_size)
     ws = list(witness_family(args.n))
     if args.emit is not None:
         out = Path(args.emit)
@@ -155,12 +169,12 @@ def _cmd_witness(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_atlas(args: argparse.Namespace) -> _Output:
-    if args.out is not None:  # before the scan, which can take minutes
+    if args.out is not None:  # before the atlas is built, which takes seconds at n = 8
         out = Path(args.out)
         if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
             raise ValueError(f"--out {out}: not a file in a writable directory")
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    record = exact_atlas(args.n, jobs=jobs, force=args.force, progress=args.progress)
+    record = exact_atlas(args.n, jobs=jobs, progress=args.progress)
     if args.out is not None:
         save_atlas(record, args.out)
     payload = {
@@ -325,13 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p_wit)
 
     p_atlas = sub.add_parser("atlas", help="exhaustive realizable-count set")
-    p_atlas.add_argument("--n", type=int, required=True)
+    p_atlas.add_argument("--n", type=int, required=True, help=f"vertex count, 1..{HARD_CAP}")
     p_atlas.add_argument("--jobs", type=int, default=None, help="worker processes")
     p_atlas.add_argument("--out", help="write atlas JSON here")
-    p_atlas.add_argument(
-        "--force", action="store_true", help=f"allow n up to {HARD_CAP} (default cap {DEFAULT_CAP})"
-    )
-    p_atlas.add_argument("--progress", action="store_true", help="report chunk completion")
+    p_atlas.add_argument("--progress", action="store_true", help="report each finished slice")
     _add_format(p_atlas)
 
     p_alpha = sub.add_parser("alpha", help="least vertex count realizing m")

@@ -20,7 +20,7 @@ from spantree import (
     verify_lower_bound,
 )
 
-from oracles import ATLAS_3, ATLAS_4
+from oracles import ATLAS_3, ATLAS_4, mask_scan_atlas
 
 _GOOD = {"n": 3, "size": 2, "values": ["1", "3"], "graphs_scanned": 8, "elapsed_ms": 0}
 
@@ -54,12 +54,40 @@ _MALFORMED = {
     ),
     "n-huge": ("atlas_1000000000.json", json.dumps(dict(_GOOD, n=10**9)), "<= 8"),
     "name-mismatch": ("atlas_4.json", json.dumps(_GOOD), "must be named atlas_3.json"),
+    "scanned-mismatch": (
+        "atlas_3.json",
+        json.dumps(dict(_GOOD, graphs_scanned=7)),
+        r"graphs_scanned must be 8 \(2\^C\(n,2\)\)",
+    ),
+    "negative-elapsed": ("atlas_3.json", json.dumps(dict(_GOOD, elapsed_ms=-1)), "elapsed_ms"),
 }
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    map = staticmethod(map)
 
 
 @pytest.fixture(scope="module")
 def small_atlases():
     return {n: exact_atlas(n) for n in range(1, 7)}
+
+
+@pytest.fixture(scope="module")
+def mask_scans():
+    return {n: mask_scan_atlas(n) for n in range(1, 8)}
 
 
 class TestExactAtlas:
@@ -94,7 +122,8 @@ class TestExactAtlas:
             assert 2 not in record.values
 
     def test_matches_tau_of_every_connected_subset(self, small_atlases):
-        # one Graph and one tau per edge subset: no code shared with the kernel
+        # one Graph and one tau per labelled edge subset: the extensions of
+        # the isomorphism classes must reach every connected one
         for n in range(1, 7):
             pairs = list(combinations(range(n), 2))
             graphs = (
@@ -104,20 +133,50 @@ class TestExactAtlas:
             taus = {tau(g) for g in graphs if is_connected(g)}
             assert small_atlases[n].values == tuple(sorted(taus))
 
-    def test_worker_split_matches_inline(self, small_atlases, monkeypatch):
-        # shrink the batch so n=5 genuinely exercises the pool + merge path
-        monkeypatch.setattr(atlas_module, "_BATCH", 64)
-        split = exact_atlas(5, jobs=3)
-        assert split.values == small_atlases[5].values
-        assert split.graphs_scanned == small_atlases[5].graphs_scanned
+    def test_class_counts(self):
+        # connected graphs up to isomorphism (OEIS A001349): a code that
+        # missed an isomorphism would list more, one that merged two graphs fewer
+        assert [len(atlas_module._classes(k)) for k in range(1, 8)] == [
+            1, 1, 2, 6, 21, 112, 853,
+        ]
 
-    def test_cap_without_force(self):
-        with pytest.raises(ValueError, match="force"):
-            exact_atlas(8)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_matches_mask_scan(self, mask_scans, jobs):
+        for n in range(1, 8):
+            assert exact_atlas(n, jobs=jobs).values == mask_scans[n]
+
+    def test_eight(self):
+        record = exact_atlas(8, jobs=2)
+        assert record.size == 3_700
+        assert (record.values[0], record.values[-1]) == (1, 8**6)
+        assert record.graphs_scanned == 1 << 28
+
+    def test_worker_split_matches_inline(self, small_atlases):
+        # 21 classes on 5 vertices: more than one worker starts on any
+        # machine with more than one core
+        split = exact_atlas(6, jobs=3)
+        assert split.values == small_atlases[6].values
+        assert split.graphs_scanned == small_atlases[6].graphs_scanned
+
+    def test_pool_size_bounded(self, small_atlases, monkeypatch):
+        monkeypatch.setattr(atlas_module, "ProcessPoolExecutor", _FakePool)
+        monkeypatch.setattr(_FakePool, "sizes", [])
+        # (jobs, cores, n): 6 classes on 4 vertices, 21 on 5
+        for jobs, cores, n in [(100_000, 64, 5), (100_000, 4, 6), (3, 64, 6), (2, 64, 2),
+                               (100_000, 1, 6), (1, 64, 6)]:
+            monkeypatch.setattr(atlas_module.os, "cpu_count", lambda: cores)
+            assert exact_atlas(n, jobs=jobs).values == small_atlases[n].values
+        # one class on 1 vertex, one core, one job: no pool at all
+        assert _FakePool.sizes == [6, 4, 3]
+
+    def test_bad_jobs(self):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                exact_atlas(3, jobs=jobs)
 
     def test_hard_cap(self):
-        with pytest.raises(ValueError, match="hard cap"):
-            exact_atlas(9, force=True)
+        with pytest.raises(ValueError, match="hard cap 8"):
+            exact_atlas(9)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):

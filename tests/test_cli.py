@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import spantree
-import spantree.atlas as atlas_module
 import spantree.cli as cli
 from spantree import PartClass, count_partitions_up_to, exact_atlas, save_atlas
 from spantree.cli import main
@@ -179,6 +178,39 @@ class TestPartitions:
     def test_negative_n(self, run):
         assert run("partitions", "--n", "-1", "--class", "all")[0] == 2
 
+    def test_huge_list_refused(self, run):
+        # p(200) is about 4e12: refused after counting, before listing
+        code, out, err = run("partitions", "--n", "200", "--class", "all", "--list")
+        assert (code, out) == (2, "")
+        assert err == "error: --n 200: more than 1,000,000 members to list\n"
+
+    def test_list_limit_is_inclusive(self, run, monkeypatch):
+        # 8 odd-prime partitions with sum <= 10, 10 with sum <= 11
+        monkeypatch.setattr(cli, "_LIST_LIMIT", 8)
+        argv = ["partitions", "--class", "oddprime", "--cumulative", "--list", "--n"]
+        assert run(*argv, "10")[0] == 0
+        assert run(*argv, "11")[0] == 2
+        assert run("partitions", "--n", "11", "--class", "oddprime", "--list")[0] == 0
+
+    def test_past_max_n_refused_without_counting(self, run, monkeypatch):
+        def count(*args):
+            raise AssertionError("counted past the list cap")
+
+        monkeypatch.setattr(cli, "count_partitions", count)
+        monkeypatch.setattr(cli, "p_set_size", count)
+        for cls in ("all", "prime", "oddprime"):
+            assert run("partitions", "--n", "2001", "--class", cls, "--list")[0] == 2
+        argv = ["partitions", "--n", "2001", "--class", "oddprime", "--cumulative", "--list"]
+        assert run(*argv)[0] == 2
+        assert run("witness", "--n", "10000000000")[0] == 2
+
+    def test_every_family_past_max_n_is_too_large(self):
+        # the smallest family is the odd-prime partitions of exactly n, and
+        # adding a part 3 maps those of n - 3 into those of n
+        table = count_partitions_up_to(cli._LIST_MAX_N, PartClass.ODD_PRIME)
+        assert all(table[n] >= table[n - 3] for n in range(3, len(table)))
+        assert min(table[-3:]) > cli._LIST_LIMIT
+
     def test_json_count(self, run):
         code, out, _ = run(
             "partitions", "--n", "10", "--class", "oddprime", "--cumulative",
@@ -201,6 +233,16 @@ class TestWitness:
 
     def test_too_small(self, run):
         assert run("witness", "--n", "2")[0] == 2
+
+    def test_huge_family_refused(self, run, monkeypatch):
+        # 960,248 witnesses at n = 141, 1,015,341 at n = 142
+        def build(n):
+            raise AssertionError("built a refused family")
+
+        monkeypatch.setattr(cli, "witness_family", build)
+        code, out, err = run("witness", "--n", "142")
+        assert (code, out) == (2, "")
+        assert err == "error: --n 142: more than 1,000,000 members to list\n"
 
     def test_emit_round_trips(self, run, tmp_path):
         emit = tmp_path / "out"
@@ -242,13 +284,15 @@ class TestAtlas:
         assert payload["values"] == ["1", "3"]
         assert "elapsed_ms" in payload
 
-    def test_cap_needs_force(self, run):
-        code, _, err = run("atlas", "--n", "8")
-        assert code == 2
-        assert "force" in err
-
     def test_hard_cap(self, run):
-        assert run("atlas", "--n", "9", "--force")[0] == 2
+        code, out, err = run("atlas", "--n", "9")
+        assert (code, out) == (2, "")
+        assert "hard cap 8" in err
+
+    def test_bad_jobs(self, run):
+        for jobs in ("0", "-3"):
+            code, _, err = run("atlas", "--n", "3", "--jobs", jobs)
+            assert (code, err) == (2, "error: jobs must be >= 1\n")
 
     def test_out_checked_before_scan(self, run, tmp_path, monkeypatch):
         def scan(*args, **kwargs):
@@ -271,14 +315,15 @@ class TestAtlas:
             assert run("atlas", "--n", "3", "--out", str(out))[0] == 2
         assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "old"
 
-    def test_progress_only_on_stderr(self, run, monkeypatch):
-        monkeypatch.setattr(atlas_module, "_BATCH", 1 << 6)  # n = 5 now runs in parallel
+    def test_progress_only_on_stderr(self, run):
         argv = ["atlas", "--n", "5", "--jobs", "2", "--format", "json"]
         quiet = run(*argv)
         loud = run(*argv, "--progress")
         assert quiet[0] == loud[0] == 0
         assert loud[1] == quiet[1] and quiet[2] == ""
-        assert loud[2].splitlines() == [f"atlas n=5: chunk {i}/8" for i in range(1, 9)]
+        slices = min(2, os.cpu_count() or 1)  # one per worker, 6 classes to share
+        assert loud[2].splitlines() == [f"atlas n=5: slice {i}/{slices}"
+                                        for i in range(1, slices + 1)]
 
 
 class TestAlpha:
