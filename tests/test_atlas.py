@@ -174,6 +174,11 @@ class TestExactAtlas:
             with pytest.raises(ValueError, match="jobs must be >= 1"):
                 exact_atlas(3, jobs=jobs)
 
+    def test_cap_without_force(self):
+        # the force override is gone: nothing lifts the hard cap
+        with pytest.raises(TypeError, match="force"):
+            exact_atlas(9, force=True)
+
     def test_hard_cap(self):
         with pytest.raises(ValueError, match="hard cap 8"):
             exact_atlas(9)

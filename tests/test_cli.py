@@ -284,6 +284,13 @@ class TestAtlas:
         assert payload["values"] == ["1", "3"]
         assert "elapsed_ms" in payload
 
+    def test_cap_needs_force(self, run):
+        # --force no longer exists, so it cannot lift the hard cap either
+        for n in ("3", "9"):
+            code, out, err = run("atlas", "--n", n, "--force")
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --force" in err
+
     def test_hard_cap(self, run):
         code, out, err = run("atlas", "--n", "9")
         assert (code, out) == (2, "")
