@@ -152,14 +152,18 @@ def _classes(k: int) -> list[int]:
 
 def _extension_taus(n: int, codes: list[int]) -> set[int]:
     """Distinct counts of the one-vertex extensions to n vertices of these classes."""
-    pairs = _pairs(n - 1)
+    pairs = [(u, v, 1) for u, v in _pairs(n - 1)]
     joins = [
-        tuple((v, n - 1) for v in range(n - 1) if s >> v & 1) for s in range(1, 1 << (n - 1))
+        tuple((v, n - 1, 1) for v in range(n - 1) if s >> v & 1)
+        for s in range(1, 1 << (n - 1))
     ]
     values: set[int] = set()
     for code in codes:
         edges = tuple(p for i, p in enumerate(pairs) if code >> i & 1)
-        values.update(tau(Graph(n, edges + join)) for join in joins)
+        # pairs are in colex order; sorted, the distinct triples are canonical
+        values.update(
+            tau(Graph._from_canonical(n, tuple(sorted(edges + join)))) for join in joins
+        )
     return values
 
 

@@ -49,9 +49,10 @@ from .witness import flower, sidecar_json, witness_family
 
 _P_EXACT_LIMIT = 10_000
 
-# --list and witness refuse families larger than this.  Past _LIST_MAX_N
-# every family is larger: appending a part 3 shows that the odd-prime count
-# never falls from n - 3 to n, and it exceeds the limit at 1998..2000.
+# --list and witness refuse families larger than this, and tau refuses named
+# graphs with more edges.  Past _LIST_MAX_N every family is larger: appending
+# a part 3 shows that the odd-prime count never falls from n - 3 to n, and it
+# exceeds the limit at 1998..2000.
 _LIST_LIMIT = 10**6
 _LIST_MAX_N = 2_000
 
@@ -95,6 +96,12 @@ def _check_family_size(n: int, size: Callable[[int], int]) -> None:
         raise ValueError(f"--n {n}: more than {_LIST_LIMIT:,} members to list")
 
 
+def _check_edge_count(option: str, edges: int) -> None:
+    """Refuse a named graph of more than _LIST_LIMIT edges before building it."""
+    if edges > _LIST_LIMIT:
+        raise ValueError(f"{option}: more than {_LIST_LIMIT:,} edges")
+
+
 def _atlas_dir_arg(parser: argparse.ArgumentParser, required_hint: bool) -> None:
     parser.add_argument(
         "--atlas-dir",
@@ -108,11 +115,16 @@ def _cmd_tau(args: argparse.Namespace) -> _Output:
     if args.input is not None:
         g = parse_edge_list(Path(args.input).read_text(encoding="utf-8"))
     elif args.cycle is not None:
+        _check_edge_count(f"--cycle {args.cycle}", args.cycle)
         g = cycle(args.cycle)
     elif args.complete is not None:
+        k = max(args.complete, 0)
+        _check_edge_count(f"--complete {args.complete}", k * (k - 1) // 2)
         g = complete(args.complete)
     else:
-        g = flower(tuple(sorted(int(s) for s in args.flower.split(","))))
+        lengths = tuple(sorted(int(s) for s in args.flower.split(",")))
+        _check_edge_count("--flower", sum(lengths))
+        g = flower(lengths)
     value = str(tau(g))
     return _Output({"tau": value}, ["tau"], [[value]])
 

@@ -9,6 +9,16 @@ processes.
 Multiplicities exist so that edge contraction stays closed under the graph
 type (contracting one side of a triangle leaves a doubled edge).  All the
 named constructors (`cycle`, `path`, `complete`) emit simple graphs.
+
+Public ``Graph(...)`` validates, merges and sorts every edge.  Builders that
+already hold the canonical form skip that through the private
+`Graph._from_canonical`: `cycle`, `path` and `complete` (and the flowers and
+witnesses in ``witness.py``) emit their triples sorted, with distinct
+in-range endpoints by construction; `parse_edge_list` checks each line once
+and merges and sorts the triples itself; the atlas sorts its extension
+triples before building.  The result equals what ``Graph(...)`` would make
+of the same edges, so equality and hashing are unaffected (the tests
+compare both paths).
 """
 
 from __future__ import annotations
@@ -67,6 +77,22 @@ class Graph:
             self, "edges", tuple((u, v, m) for (u, v), m in sorted(merged.items()))
         )
 
+    @classmethod
+    def _from_canonical(
+        cls, n_vertices: int, edges: tuple[tuple[int, int, int], ...]
+    ) -> Graph:
+        """A graph from edges already in canonical form, unchecked.
+
+        The caller guarantees what ``__post_init__`` would establish: a
+        nonnegative vertex count, and a tuple of triples ``(u, v, m)`` with
+        ``0 <= u < v < n_vertices`` and ``m >= 1``, strictly ascending, so no
+        pair repeats.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n_vertices", n_vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def n_edges(self) -> int:
         """Number of edges counted with multiplicity."""
@@ -109,21 +135,25 @@ def cycle(length: int) -> Graph:
     """The cycle on ``length`` >= 3 vertices."""
     if length < 3:
         raise ValueError(f"cycle length must be >= 3, got {length}")
-    return Graph(length, tuple((i, (i + 1) % length) for i in range(length)))
+    rim = tuple((i, i + 1, 1) for i in range(1, length - 1))
+    return Graph._from_canonical(length, ((0, 1, 1), (0, length - 1, 1), *rim))
 
 
 def path(n_vertices: int) -> Graph:
     """The path on ``n_vertices`` >= 1 vertices; one vertex means no edges."""
     if n_vertices < 1:
         raise ValueError(f"path needs at least one vertex, got {n_vertices}")
-    return Graph(n_vertices, tuple((i, i + 1) for i in range(n_vertices - 1)))
+    edges = tuple((i, i + 1, 1) for i in range(n_vertices - 1))
+    return Graph._from_canonical(n_vertices, edges)
 
 
 def complete(n_vertices: int) -> Graph:
     """The complete graph on ``n_vertices`` >= 1 vertices."""
     if n_vertices < 1:
         raise ValueError(f"complete graph needs at least one vertex, got {n_vertices}")
-    return Graph(n_vertices, tuple(combinations(range(n_vertices), 2)))
+    return Graph._from_canonical(
+        n_vertices, tuple((u, v, 1) for u, v in combinations(range(n_vertices), 2))
+    )
 
 
 def identify(g: Graph, u: int, h: Graph, v: int) -> Graph:
@@ -235,7 +265,7 @@ def parse_edge_list(text: str) -> Graph:
     line number.
     """
     n_vertices: int | None = None
-    entries: list[tuple[int, int, int]] = []
+    merged: dict[tuple[int, int], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -264,7 +294,9 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(line_no, f"edge ({u}, {v}) outside vertex range")
         if m < 1:
             raise EdgeListError(line_no, f"multiplicity {m} must be >= 1")
-        entries.append((u, v, m))
+        key = (u, v) if u < v else (v, u)
+        merged[key] = merged.get(key, 0) + m
     if n_vertices is None:
         raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")
-    return Graph(n_vertices, tuple(entries))
+    edges = tuple((u, v, m) for (u, v), m in sorted(merged.items()))
+    return Graph._from_canonical(n_vertices, edges)

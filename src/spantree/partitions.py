@@ -1,10 +1,12 @@
 """Integer partitions with restricted parts, counted and enumerated exactly.
 
 Three part classes matter here: unrestricted parts, prime parts, and odd
-prime parts (2 excluded).  Counts use the standard one-part-at-a-time
-dynamic program and live in Python ints, so nothing overflows.  On top of
-the per-sum functions sits the cumulative family: all odd-prime partitions
-with sum at most n, which is what the witness construction consumes.
+prime parts (2 excluded).  Unrestricted counts p(0..n) come from Euler's
+pentagonal-number recurrence, O(n^1.5) additions; the prime classes use
+the one-part-at-a-time dynamic program, O(n * #parts).  Counts live in
+Python ints, so nothing overflows.  On top of the per-sum functions sits
+the cumulative family: all odd-prime partitions with sum at most n, which
+is what the witness construction consumes.
 """
 
 from __future__ import annotations
@@ -76,11 +78,14 @@ def count_partitions_up_to(n: int, part_class: PartClass) -> list[int]:
     """Exact partition counts for every sum ``0..n`` at once.
 
     ``result[m]`` is the number of partitions of ``m`` with parts in the
-    class.  One dynamic-programming pass per allowed part; the table is the
-    cheap way to get a whole range of counts.
+    class.  Unrestricted parts use Euler's pentagonal-number recurrence;
+    the prime classes take one dynamic-programming pass per allowed part.
+    The table is the cheap way to get a whole range of counts.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if part_class is PartClass.ALL:
+        return _pentagonal_table(n)
     dp = [0] * (n + 1)
     dp[0] = 1
     for a in allowed_parts(n, part_class):
@@ -89,6 +94,32 @@ def count_partitions_up_to(n: int, part_class: PartClass) -> list[int]:
         for m, below in zip(range(a, n + 1), dp):
             dp[m] += below
     return dp
+
+
+def _pentagonal_table(n: int) -> list[int]:
+    """p(0..n) by Euler's recurrence over the generalized pentagonal numbers.
+
+    p(m) = sum over k >= 1 of (-1)^(k+1) [p(m - k(3k-1)/2) + p(m - k(3k+1)/2)],
+    terms with a negative argument being 0.  The offsets ascend with k, so
+    those at most m form a prefix that grows with m; each p(m) is about
+    2 * sqrt(2m/3) additions or subtractions.
+    """
+    offsets: list[tuple[int, bool]] = []  # (offset, added?) in ascending order
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= n:
+        offsets += [(g, k % 2 == 1), (g + k, k % 2 == 1)]
+        k += 1
+    p = [1] + [0] * n
+    plus: list[int] = []
+    minus: list[int] = []
+    live = 0
+    for m in range(1, n + 1):
+        while live < len(offsets) and offsets[live][0] <= m:
+            g, added = offsets[live]
+            (plus if added else minus).append(g)
+            live += 1
+        p[m] = sum([p[m - g] for g in plus]) - sum([p[m - g] for g in minus])
+    return p
 
 
 def count_partitions(n: int, part_class: PartClass) -> int:

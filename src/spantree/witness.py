@@ -80,18 +80,44 @@ def flower(parts: Partition | Sequence[int]) -> Graph:
         raise ValueError("flower needs at least one cycle")
     if any(x < 3 for x in lengths):
         raise ValueError("cycle lengths must be >= 3")
-    return Graph(sum(lengths) - len(lengths) + 1, tuple(_flower_edges(lengths)))
+    n = sum(lengths) - len(lengths) + 1
+    return Graph._from_canonical(n, _flower_edges(lengths, *_spokes_and_rungs(n)))
 
 
-def _flower_edges(lengths: Sequence[int]) -> list[tuple[int, int]]:
-    """Edges of `flower(lengths)`: the rings through vertex 0, in order."""
-    edges: list[tuple[int, int]] = []
-    n = 1
-    for x in lengths:  # ring 0, n, n+1, ..., n+x-2
-        ring = [0, *range(n, n + x - 1)]
-        edges.extend(zip(ring, ring[1:] + ring[:1]))
-        n += x - 1
-    return edges
+_Triple = tuple[int, int, int]
+
+
+def _spokes_and_rungs(n: int) -> tuple[list[_Triple], list[_Triple]]:
+    """The edges (0, v) and (i, i + 1) on n vertices, for `_flower_edges` to share."""
+    return [(0, v, 1) for v in range(n)], [(i, i + 1, 1) for i in range(n - 1)]
+
+
+def _flower_edges(
+    lengths: Sequence[int], spokes: list[_Triple], rungs: list[_Triple]
+) -> tuple[_Triple, ...]:
+    """Canonical edges of `flower(lengths)` plus a path from the hub to the last vertex.
+
+    The graph has ``len(spokes)`` vertices.  Each ring is the hub 0 and a run
+    of consecutive vertices start..end, and the path is the run after the
+    last ring: spokes join the hub to each run's start and each ring's end,
+    rungs join neighbours within a run.  Spokes sort before rungs and both
+    come in ascending order, so the triples are sorted, and distinct since
+    each ring has x >= 3 vertices.  Graphs built from the same lists share
+    their triple objects.
+    """
+    n = len(spokes)
+    hub: list[_Triple] = []
+    runs: list[_Triple] = []
+    start = 1
+    for x in lengths:
+        end = start + x - 2
+        hub += (spokes[start], spokes[end])
+        runs += rungs[start:end]
+        start = end + 1
+    if start < n:
+        hub.append(spokes[start])
+        runs += rungs[start:]
+    return (*hub, *runs)
 
 
 def build_witness(p: Partition, n: int) -> Witness:
@@ -110,8 +136,11 @@ def build_witness(p: Partition, n: int) -> Witness:
         raise ValueError(f"partition sum {s} exceeds target vertex count {n}")
     if not all(_is_odd_prime(x) for x in set(p.parts)):
         raise ValueError("every part must be an odd prime")
-    tail = [0, *range(s - len(p) + 1, n)]  # the hub, then past the flower
-    g = Graph(n, (*_flower_edges(p.parts), *zip(tail, tail[1:])))
+    return _witness(p, n, *_spokes_and_rungs(n))
+
+
+def _witness(p: Partition, n: int, spokes: list[_Triple], rungs: list[_Triple]) -> Witness:
+    g = Graph._from_canonical(n, _flower_edges(p.parts, spokes, rungs))
     return Witness(partition=p, graph=g, tau_value=product_of_parts(p.parts), n=n)
 
 
@@ -123,10 +152,13 @@ def witness_family(n: int) -> Iterator[Witness]:
     """One witness per nonempty odd-prime partition with sum <= n.
 
     Stream order follows the partition enumeration (ascending sum, then
-    lexicographic), so two runs are identical.  Empty for n < 3.
+    lexicographic), so two runs are identical.  Empty for n < 3.  Every
+    partition enumerated is a valid `build_witness` argument, so the witnesses
+    are built without its checks, and share one set of edge triples.
     """
+    spokes, rungs = _spokes_and_rungs(n)
     for p in p_set_enumerate(n):
-        yield build_witness(p, n)
+        yield _witness(p, n, spokes, rungs)
 
 
 def certify_distinct(witnesses: Iterable[Witness]) -> DistinctnessReport:

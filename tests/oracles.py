@@ -3,8 +3,10 @@
 Nothing in here shares code paths with the library: the determinant is
 cofactor expansion instead of fraction-free elimination, the atlas is a
 scan of every labelled edge subset instead of an extension of isomorphism
-classes, and the float formulas are evaluated in linear space instead of
-log-space.  Slow and simple on purpose.
+classes, unrestricted partition counts are the one-part-at-a-time dynamic
+program instead of Euler's pentagonal recurrence, and the float formulas
+are evaluated in linear space instead of log-space.  Slow and simple on
+purpose.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from spantree import Graph
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
 P_50 = 204226
 P_100 = 190569292
+P_200 = 3_972_999_029_388
+P_1000 = 24_061_467_864_032_622_473_692_149_727_991
 
 PRIMES_BELOW_100 = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -39,6 +43,19 @@ P10_TAUS = [3, 5, 9, 7, 15, 27, 21, 25]
 # shapes tree / triangle+pendant / 4-cycle / diamond / complete
 ATLAS_3 = {1, 3}
 ATLAS_4 = {1, 3, 4, 8, 16}
+
+
+def part_dp_counts(n: int, parts: list[int]) -> list[int]:
+    """Partitions of 0..n with parts from ``parts`` (each value listed once).
+
+    The classic O(n * #parts) table: after the pass for part a, entry m
+    counts the partitions of m into the parts seen so far.
+    """
+    dp = [1] + [0] * n
+    for a in parts:
+        for m in range(a, n + 1):
+            dp[m] += dp[m - a]
+    return dp
 
 
 def det_cofactor(mat: list[list[int]]) -> int:

@@ -145,6 +145,16 @@ class TestExactAtlas:
         for n in range(1, 8):
             assert exact_atlas(n, jobs=jobs).values == mask_scans[n]
 
+    def test_extensions_are_canonical(self, monkeypatch):
+        # the extensions skip Graph validation, so each must already be what
+        # validation makes of its edges
+        def checked_tau(g):
+            assert g == Graph(g.n_vertices, g.edges)
+            return tau(g)
+
+        monkeypatch.setattr(atlas_module, "tau", checked_tau)
+        assert len(atlas_module._extension_taus(6, atlas_module._classes(5))) == 65
+
     def test_eight(self):
         record = exact_atlas(8, jobs=2)
         assert record.size == 3_700

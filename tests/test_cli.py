@@ -146,6 +146,34 @@ class TestTau:
     def test_bad_flower_part(self, run):
         assert run("tau", "--flower", "3,2")[0] == 2
 
+    def test_huge_named_graph_refused(self, run, monkeypatch):
+        def build(*args):
+            raise AssertionError("built a graph past the edge limit")
+
+        for name in ("cycle", "complete", "flower"):
+            monkeypatch.setattr(cli, name, build)
+        for argv in (
+            ["--complete", "100000"],  # about 5 * 10^9 edges
+            ["--complete", "1415"],  # 1,000,405 edges
+            ["--cycle", "1000001"],
+            ["--flower", "3,999999"],
+        ):
+            code, out, err = run("tau", *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {argv[0]}") and "1,000,000 edges" in err
+
+    def test_edge_limit_is_inclusive(self, run, monkeypatch):
+        monkeypatch.setattr(cli, "_LIST_LIMIT", 6)
+        assert run("tau", "--complete", "4") == (0, "16\n", "")  # 6 edges
+        assert run("tau", "--complete", "5")[:2] == (2, "")  # 10 edges
+        assert run("tau", "--cycle", "6") == (0, "6\n", "")
+        assert run("tau", "--cycle", "7")[:2] == (2, "")
+        assert run("tau", "--flower", "3,3") == (0, "9\n", "")
+        assert run("tau", "--flower", "3,5")[:2] == (2, "")
+        # below one vertex the constructors' own messages still apply
+        assert "at least one vertex" in run("tau", "--complete", "-3000")[2]
+        assert "length must be >= 3" in run("tau", "--cycle", "-7")[2]
+
 
 class TestPartitions:
     def test_count(self, run):

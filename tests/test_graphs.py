@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spantree import (
     EdgeListError,
@@ -181,3 +183,45 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListError) as exc_info:
             parse_edge_list(text)
         assert exc_info.value.line_no == line_no
+
+
+class TestTrustedConstruction:
+    """Builders that skip validation produce what validation would produce.
+
+    Equality compares the stored edge tuples, so it holds only if the
+    unvalidated builder stored exactly the canonical tuple.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_parse_merges_like_graph(self, data):
+        n = data.draw(st.integers(0, 8))
+        entries = []
+        if n >= 2:
+            pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+            entries = data.draw(st.lists(st.tuples(pair, st.integers(1, 3)), max_size=15))
+        lines = [f"{u} {v}" if m == 1 else f"{u} {v} {m}" for (u, v), m in entries]
+        if lines:
+            lines += data.draw(st.lists(st.sampled_from(lines), max_size=10))
+        lines = data.draw(st.permutations(lines))
+        if data.draw(st.booleans()):
+            lines.reverse()
+        g = parse_edge_list("\n".join([f"n {n}", *lines]) + "\n")
+        parsed = [tuple(map(int, line.split())) for line in lines]
+        assert g == Graph(n, tuple(parsed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(3, 60))
+    def test_cycle(self, k):
+        assert cycle(k) == Graph(k, tuple((i, (i + 1) % k) for i in range(k)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(1, 60))
+    def test_path(self, k):
+        assert path(k) == Graph(k, tuple((i + 1, i) for i in range(k - 1)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(1, 16))
+    def test_complete(self, k):
+        pairs = tuple((v, u) for u in range(k) for v in range(u + 1, k))
+        assert complete(k) == Graph(k, pairs)

@@ -18,8 +18,11 @@ from oracles import (
     P10_MEMBERS,
     P_50,
     P_100,
+    P_200,
+    P_1000,
     PARTITION_COUNTS,
     PRIMES_BELOW_100,
+    part_dp_counts,
 )
 
 
@@ -72,6 +75,14 @@ class TestCounts:
     def test_classic_values(self):
         assert count_partitions(50, PartClass.ALL) == P_50
         assert count_partitions(100, PartClass.ALL) == P_100
+        assert count_partitions(200, PartClass.ALL) == P_200
+        assert count_partitions(1000, PartClass.ALL) == P_1000
+
+    def test_pentagonal_matches_part_dp(self):
+        for n in (0, 1, 2, 2000):
+            assert count_partitions_up_to(n, PartClass.ALL) == part_dp_counts(
+                n, list(range(1, n + 1))
+            )
 
     def test_odd_prime_small(self):
         table = count_partitions_up_to(12, PartClass.ODD_PRIME)

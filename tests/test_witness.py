@@ -2,8 +2,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spantree import (
+    Graph,
     Partition,
     build_witness,
     certify_distinct,
@@ -55,6 +58,16 @@ class TestFlower:
                 chained = identify(chained, 0, cycle(x), 0)
             assert flower(parts) == chained
 
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(3, 12), min_size=1, max_size=6))
+    def test_equals_validated_rings(self, lengths):
+        edges, n = [], 1
+        for x in lengths:
+            ring = [0, *range(n, n + x - 1)]
+            edges += [(ring[i], ring[i - 1]) for i in range(x)]
+            n += x - 1
+        assert flower(lengths) == Graph(n, tuple(edges))
+
     def test_nonprime_lengths_allowed(self):
         # flowers are defined for any cycle lengths, primality is a
         # witness-level restriction
@@ -101,6 +114,17 @@ class TestBuildWitness:
                 p = w.partition
                 chained = identify(flower(p), 0, path(n - p.total + len(p)), 0)
                 assert w.graph == chained
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        parts=st.lists(st.sampled_from([3, 5, 7, 11, 13]), min_size=1, max_size=6),
+        pad=st.integers(0, 12),
+    )
+    def test_equals_validated_identify(self, parts, pad):
+        p = Partition(tuple(sorted(parts)))
+        n = p.total + pad
+        chained = identify(flower(p), 0, path(n - p.total + len(p)), 0)
+        assert build_witness(p, n).graph == chained
 
 
 class TestFamily:
