@@ -73,9 +73,7 @@ class Graph:
                 raise ValueError(f"multiplicity {m} for edge ({u}, {v}) must be >= 1")
             key = (u, v) if u < v else (v, u)
             merged[key] = merged.get(key, 0) + m
-        object.__setattr__(
-            self, "edges", tuple((u, v, m) for (u, v), m in sorted(merged.items()))
-        )
+        object.__setattr__(self, "edges", _canonical(merged))
 
     @classmethod
     def _from_canonical(
@@ -124,6 +122,11 @@ class Graph:
         for u, v, m in self.edges:
             out.extend([(u, v)] * m)
         return out
+
+
+def _canonical(merged: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
+    """Sorted ``(u, v, m)`` triples from multiplicities keyed by ``(u, v)``, ``u < v``."""
+    return tuple((u, v, m) for (u, v), m in sorted(merged.items()))
 
 
 def _check_vertex(g: Graph, u: int) -> None:
@@ -298,5 +301,4 @@ def parse_edge_list(text: str) -> Graph:
         merged[key] = merged.get(key, 0) + m
     if n_vertices is None:
         raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")
-    edges = tuple((u, v, m) for (u, v), m in sorted(merged.items()))
-    return Graph._from_canonical(n_vertices, edges)
+    return Graph._from_canonical(n_vertices, _canonical(merged))

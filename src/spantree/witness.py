@@ -81,43 +81,31 @@ def flower(parts: Partition | Sequence[int]) -> Graph:
     if any(x < 3 for x in lengths):
         raise ValueError("cycle lengths must be >= 3")
     n = sum(lengths) - len(lengths) + 1
-    return Graph._from_canonical(n, _flower_edges(lengths, *_spokes_and_rungs(n)))
+    return Graph._from_canonical(n, _flower_edges(lengths, n))
 
 
-_Triple = tuple[int, int, int]
+def _flower_edges(lengths: Sequence[int], n: int) -> tuple[tuple[int, int, int], ...]:
+    """Canonical edges of `flower(lengths)` plus a path from the hub to vertex n - 1.
 
-
-def _spokes_and_rungs(n: int) -> tuple[list[_Triple], list[_Triple]]:
-    """The edges (0, v) and (i, i + 1) on n vertices, for `_flower_edges` to share."""
-    return [(0, v, 1) for v in range(n)], [(i, i + 1, 1) for i in range(n - 1)]
-
-
-def _flower_edges(
-    lengths: Sequence[int], spokes: list[_Triple], rungs: list[_Triple]
-) -> tuple[_Triple, ...]:
-    """Canonical edges of `flower(lengths)` plus a path from the hub to the last vertex.
-
-    The graph has ``len(spokes)`` vertices.  Each ring is the hub 0 and a run
-    of consecutive vertices start..end, and the path is the run after the
-    last ring: spokes join the hub to each run's start and each ring's end,
-    rungs join neighbours within a run.  Spokes sort before rungs and both
-    come in ascending order, so the triples are sorted, and distinct since
-    each ring has x >= 3 vertices.  Graphs built from the same lists share
-    their triple objects.
+    Each ring is the hub 0 and a run of consecutive vertices start..end, and
+    the path is the run after the last ring: spokes (0, v) join the hub to
+    each run's start and each ring's end, rungs (i, i + 1) join neighbours
+    within a run.  Spokes sort before rungs and both come in ascending order,
+    so the triples are sorted, and distinct since each ring has x >= 3
+    vertices.
     """
-    n = len(spokes)
-    hub: list[_Triple] = []
-    runs: list[_Triple] = []
+    spokes: list[tuple[int, int, int]] = []
+    rungs: list[tuple[int, int, int]] = []
     start = 1
     for x in lengths:
         end = start + x - 2
-        hub += (spokes[start], spokes[end])
-        runs += rungs[start:end]
+        spokes += ((0, start, 1), (0, end, 1))
+        rungs += [(i, i + 1, 1) for i in range(start, end)]
         start = end + 1
     if start < n:
-        hub.append(spokes[start])
-        runs += rungs[start:]
-    return (*hub, *runs)
+        spokes.append((0, start, 1))
+        rungs += [(i, i + 1, 1) for i in range(start, n - 1)]
+    return (*spokes, *rungs)
 
 
 def build_witness(p: Partition, n: int) -> Witness:
@@ -136,11 +124,7 @@ def build_witness(p: Partition, n: int) -> Witness:
         raise ValueError(f"partition sum {s} exceeds target vertex count {n}")
     if not all(_is_odd_prime(x) for x in set(p.parts)):
         raise ValueError("every part must be an odd prime")
-    return _witness(p, n, *_spokes_and_rungs(n))
-
-
-def _witness(p: Partition, n: int, spokes: list[_Triple], rungs: list[_Triple]) -> Witness:
-    g = Graph._from_canonical(n, _flower_edges(p.parts, spokes, rungs))
+    g = Graph._from_canonical(n, _flower_edges(p.parts, n))
     return Witness(partition=p, graph=g, tau_value=product_of_parts(p.parts), n=n)
 
 
@@ -152,13 +136,10 @@ def witness_family(n: int) -> Iterator[Witness]:
     """One witness per nonempty odd-prime partition with sum <= n.
 
     Stream order follows the partition enumeration (ascending sum, then
-    lexicographic), so two runs are identical.  Empty for n < 3.  Every
-    partition enumerated is a valid `build_witness` argument, so the witnesses
-    are built without its checks, and share one set of edge triples.
+    lexicographic), so two runs are identical.  Empty for n < 3.
     """
-    spokes, rungs = _spokes_and_rungs(n)
     for p in p_set_enumerate(n):
-        yield _witness(p, n, spokes, rungs)
+        yield build_witness(p, n)
 
 
 def certify_distinct(witnesses: Iterable[Witness]) -> DistinctnessReport:
