@@ -5,8 +5,8 @@ connected graphs on n labeled vertices, i.e. over the 2^C(n,2) edge subsets
 of the complete graph.  Every connected graph on n >= 2 vertices is one on
 n - 1 vertices plus a vertex joined to a nonempty subset of them (delete a
 leaf of a spanning tree), and isomorphic graphs share their count.  So the
-atlas is the set of ``tau`` values over the 2^(n-1) - 1 extensions of one
-graph per isomorphism class on n - 1 vertices.
+atlas is the set of counts of the 2^(n-1) - 1 extensions of one graph per
+isomorphism class on n - 1 vertices.
 
 The class lists grow the same way and are deduplicated by an exact
 canonical code.  A graph on k vertices is a bitmask over pairs in colex
@@ -16,27 +16,41 @@ relabellings: the candidates' int64 bit rows times a table of each pair's
 bit under each permutation.  Codes stay below 2^21, since n <= ``HARD_CAP``
 = 8 needs no list past k = 7.
 
-Workers take disjoint slices of the class list and the merge is set union,
-so the result cannot depend on worker count or scheduling.
+The count of an extension needs no graph.  Strike the new vertex from the
+Laplacian of "G plus a vertex joined to S": what remains is L_G + diag(1_S),
+whose determinant is the count (matrix-tree theorem).  G is connected, so
+L_G is positive semidefinite with kernel the constant vectors, and adding
+diag(1_S) for a nonempty S makes it positive definite.  Every leading
+principal minor of a positive definite matrix is positive, so fraction-free
+(Bareiss) elimination never meets a zero pivot and needs no pivot search:
+the whole stack of matrices, for a chunk of classes times every subset, is
+eliminated together in k - 1 vectorized int64 steps (k = n - 1), and the
+last pivots are the counts.
+
+int64 arrays wrap silently on overflow (numpy warns only for scalars), so
+the kernel rests on a bound instead of a check.  Each row of L_G + diag(1_S)
+has a diagonal entry of at most k and at most k - 1 entries -1, so its
+Euclidean norm is below k + 1 = n.  Every entry the elimination forms is a
+minor of that matrix, below n^(n-1) by Hadamard's inequality, and every
+update term is a difference of two products of such entries, below
+2 n^(2(n-1)).  That is under 2^63 for n <= 10, which covers ``HARD_CAP``.
+
+All of the work runs in this process, chunk by chunk, and the merge is set
+union, so the result cannot depend on how the classes are chunked.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import permutations, repeat
+from itertools import permutations
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .graphs import Graph
-from .spanning import tau
 from .witness import witness_family
 
 __all__ = [
@@ -57,7 +71,8 @@ __all__ = [
 
 HARD_CAP = 8
 
-# relabelled masks per chunk of the canonical-code product
+# int64 entries per chunk: relabelled masks of the canonical-code product, or
+# matrix entries of the extension stack
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -150,21 +165,38 @@ def _classes(k: int) -> list[int]:
     return codes.tolist()
 
 
-def _extension_taus(n: int, codes: list[int]) -> set[int]:
-    """Distinct counts of the one-vertex extensions to n vertices of these classes."""
-    pairs = [(u, v, 1) for u, v in _pairs(n - 1)]
-    joins = [
-        tuple((v, n - 1, 1) for v in range(n - 1) if s >> v & 1)
-        for s in range(1, 1 << (n - 1))
-    ]
-    values: set[int] = set()
-    for code in codes:
-        edges = tuple(p for i, p in enumerate(pairs) if code >> i & 1)
-        # pairs are in colex order; sorted, the distinct triples are canonical
-        values.update(
-            tau(Graph._from_canonical(n, tuple(sorted(edges + join)))) for join in joins
-        )
-    return values
+def _extension_taus(n: int, codes: np.ndarray) -> set[int]:
+    """Distinct counts of the one-vertex extensions to n vertices of these classes.
+
+    The count of the extension joined to S is det(L_G + diag(1_S)) (see the
+    module docstring), so the kernel builds L_G of each class from its colex
+    bit row, adds every subset diagonal and eliminates the stack of
+    len(codes) * (2^(n-1) - 1) matrices of side k = n - 1 together, without
+    pivoting.  Every update term is below 2 n^(2(n-1)) < 2^63 for n <= 10,
+    so no int64 entry wraps.  The stack holds k^2 (2^k - 1) entries per
+    class; callers bound it by passing chunks of classes.
+    """
+    k = n - 1
+    us, vs = np.array(_pairs(k), dtype=np.int64).reshape(-1, 2).T
+    joined = (np.arange(1, 1 << k, dtype=np.int64) >> np.arange(k)[:, None]) & 1
+    diag = np.arange(k)
+    # the batch is the last axis, so every elementwise step runs over
+    # contiguous runs of matrices
+    lap = np.zeros((k, k, len(codes)), dtype=np.int64)
+    lap[us, vs] = lap[vs, us] = -((codes >> np.arange(len(us))[:, None]) & 1)
+    lap[diag, diag] = -lap.sum(axis=1)
+    m = np.repeat(lap[..., None], joined.shape[1], axis=3)
+    m[diag, diag] += joined[:, None, :]
+    m = m.reshape(k, k, -1)
+    prev = 1
+    for col in range(k - 1):
+        pivot = m[col, col]  # a leading minor, positive
+        rest = m[col + 1:, col + 1:]
+        rest *= pivot
+        rest -= m[col + 1:, col, None] * m[None, col, col + 1:]
+        rest //= prev  # exact
+        prev = pivot
+    return set(np.unique(m[-1, -1]).tolist())
 
 
 def exact_atlas(n: int, *, jobs: int = 1, progress: bool = False) -> AtlasRecord:
@@ -175,10 +207,11 @@ def exact_atlas(n: int, *, jobs: int = 1, progress: bool = False) -> AtlasRecord
     n : int
         Vertex count, 1 <= n <= ``HARD_CAP``.
     jobs : int
-        Worker processes, at least 1; no more start than there are cores
-        or classes to extend.  The value set is identical for any jobs count.
+        At least 1, checked and otherwise unused: the atlas is one batched
+        elimination in this process and starts no worker at any value.  It
+        stays accepted so that existing callers and ``atlas --jobs`` work.
     progress : bool
-        Report each finished worker slice on stderr.
+        Report each finished chunk of classes on stderr.
 
     Returns
     -------
@@ -195,15 +228,13 @@ def exact_atlas(n: int, *, jobs: int = 1, progress: bool = False) -> AtlasRecord
     start = time.perf_counter()
     values = {1}  # the single vertex; every larger atlas holds 1 too (trees)
     if n > 1:
-        classes = _classes(n - 1)
-        workers = min(jobs, os.cpu_count() or 1, len(classes))
-        slices = [classes[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            run = map if pool is None else pool.map
-            for done, part in enumerate(run(_extension_taus, repeat(n), slices), 1):
-                values |= part
-                if progress:
-                    print(f"atlas n={n}: slice {done}/{workers}", file=sys.stderr, flush=True)
+        classes = np.array(_classes(n - 1), dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // ((n - 1) ** 2 * ((1 << (n - 1)) - 1)))
+        chunks = np.split(classes, range(step, len(classes), step))
+        for done, chunk in enumerate(chunks, 1):
+            values |= _extension_taus(n, chunk)
+            if progress:
+                print(f"atlas n={n}: chunk {done}/{len(chunks)}", file=sys.stderr, flush=True)
     elapsed = time.perf_counter() - start
     ordered = tuple(sorted(values))
     return AtlasRecord(

@@ -163,19 +163,14 @@ def _cmd_witness(args: argparse.Namespace) -> _Output:
                 format_edge_list(w.graph), encoding="utf-8"
             )
             (out / f"{stem}.json").write_text(sidecar_json(w), encoding="utf-8")
-    rows = [
-        [str(w.partition), str(w.tau_value), str(w.graph.n_vertices), str(w.graph.n_edges)]
-        for w in ws
-    ]
-    witnesses = [
-        {
-            "parts": list(w.partition.parts),
-            "tau": row[1],
-            "vertices": w.graph.n_vertices,
-            "edges": w.graph.n_edges,
-        }
-        for w, row in zip(ws, rows)
-    ]
+    rows = []
+    witnesses = []
+    for w in ws:
+        count, vertices, edges = str(w.tau_value), w.graph.n_vertices, w.graph.n_edges
+        rows.append([str(w.partition), count, str(vertices), str(edges)])
+        witnesses.append(
+            {"parts": list(w.partition.parts), "tau": count, "vertices": vertices, "edges": edges}
+        )
     header = ["partition", "tau", "vertices", "edges"]
     return _Output({"n": args.n, "witnesses": witnesses}, header, rows)
 
@@ -185,8 +180,7 @@ def _cmd_atlas(args: argparse.Namespace) -> _Output:
         out = Path(args.out)
         if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
             raise ValueError(f"--out {out}: not a file in a writable directory")
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    record = exact_atlas(args.n, jobs=jobs, progress=args.progress)
+    record = exact_atlas(args.n, jobs=args.jobs, progress=args.progress)
     if args.out is not None:
         save_atlas(record, args.out)
     payload = {
@@ -352,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_atlas = sub.add_parser("atlas", help="exhaustive realizable-count set")
     p_atlas.add_argument("--n", type=int, required=True, help=f"vertex count, 1..{HARD_CAP}")
-    p_atlas.add_argument("--jobs", type=int, default=None, help="worker processes")
+    p_atlas.add_argument("--jobs", type=int, default=1,
+                         help="at least 1; accepted for old scripts, starts no worker")
     p_atlas.add_argument("--out", help="write atlas JSON here")
-    p_atlas.add_argument("--progress", action="store_true", help="report each finished slice")
+    p_atlas.add_argument("--progress", action="store_true", help="report each finished chunk")
     _add_format(p_atlas)
 
     p_alpha = sub.add_parser("alpha", help="least vertex count realizing m")

@@ -15,15 +15,13 @@ already hold the canonical form skip that through the private
 `Graph._from_canonical`: `cycle`, `path` and `complete` (and the flowers and
 witnesses in ``witness.py``) emit their triples sorted, with distinct
 in-range endpoints by construction; `parse_edge_list` checks each line once
-and merges and sorts the triples itself; the atlas sorts its extension
-triples before building.  The result equals what ``Graph(...)`` would make
-of the same edges, so equality and hashing are unaffected (the tests
-compare both paths).
+and merges and sorts the triples itself.  The result equals what
+``Graph(...)`` would make of the same edges, so equality and hashing are
+unaffected (the tests compare both paths).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -185,23 +183,23 @@ def identify(g: Graph, u: int, h: Graph, v: int) -> Graph:
 def is_connected(g: Graph) -> bool:
     """Whether every vertex pair is joined by a path.
 
-    The empty graph (0 vertices) counts as connected by convention.
+    Union-find over the edges with path halving, stopping as soon as one
+    component is left.  The empty graph (0 vertices) counts as connected by
+    convention.
     """
-    if g.n_vertices == 0:
-        return True
-    adj = g.neighbors()
-    seen = [False] * g.n_vertices
-    seen[0] = True
-    queue = deque([0])
-    reached = 1
-    while queue:
-        w = queue.popleft()
-        for x in adj[w]:
-            if not seen[x]:
-                seen[x] = True
-                reached += 1
-                queue.append(x)
-    return reached == g.n_vertices
+    parent = list(range(g.n_vertices))
+    components = g.n_vertices
+    for u, v, _ in g.edges:
+        if components == 1:
+            break
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            components -= 1
+    return components <= 1
 
 
 def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:

@@ -1,22 +1,25 @@
 """Independent reference implementations the tests compare against.
 
-Nothing in here shares code paths with the library: the determinant is
+Nothing in here shares code paths with what it checks: the determinant is
 cofactor expansion instead of fraction-free elimination, the atlas is a
 scan of every labelled edge subset instead of an extension of isomorphism
-classes, unrestricted partition counts are the one-part-at-a-time dynamic
-program instead of Euler's pentagonal recurrence, and the float formulas
-are evaluated in linear space instead of log-space.  Slow and simple on
-purpose.
+classes, the extensions' counts are one ``tau`` of one ``Graph`` each
+instead of a batched elimination of L_G + diag(1_S), connectivity is a
+breadth-first search instead of union-find, unrestricted partition counts
+are the one-part-at-a-time dynamic program instead of Euler's pentagonal
+recurrence, and the float formulas are evaluated in linear space instead
+of log-space.  Slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import numpy as np
 
-from spantree import Graph
+from spantree import Graph, tau
 
 # p(0)..p(10), then two classics, all long-published table values
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -189,3 +192,37 @@ def mask_scan_atlas(n: int, batch: int = 1 << 16) -> tuple[int, ...]:
     for lo in range(0, total, batch):
         values |= _scan_batch(n, lo, min(lo + batch, total))
     return tuple(sorted(values))
+
+
+def extension_taus_per_graph(n: int, codes) -> set[int]:
+    """Distinct counts of the one-vertex extensions to n vertices of the
+    classes with these colex codes (pair u < v is bit v(v-1)/2 + u), one
+    ``Graph`` and one ``tau`` per extension."""
+    k = n - 1
+    pairs = [(u, v) for v in range(k) for u in range(v)]
+    values: set[int] = set()
+    for code in map(int, codes):
+        edges = tuple(p for i, p in enumerate(pairs) if code >> i & 1)
+        for s in range(1, 1 << k):
+            join = tuple((v, k) for v in range(k) if s >> v & 1)
+            values.add(tau(Graph(n, edges + join)))
+    return values
+
+
+def is_connected_bfs(g: Graph) -> bool:
+    """Connectivity by breadth-first search from vertex 0; 0 vertices count
+    as connected."""
+    if g.n_vertices == 0:
+        return True
+    adj: list[list[int]] = [[] for _ in range(g.n_vertices)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for x in adj[queue.popleft()]:
+            if x not in seen:
+                seen.add(x)
+                queue.append(x)
+    return len(seen) == g.n_vertices

@@ -1,6 +1,8 @@
 import json
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import spantree.atlas as atlas_module
@@ -20,7 +22,7 @@ from spantree import (
     verify_lower_bound,
 )
 
-from oracles import ATLAS_3, ATLAS_4, mask_scan_atlas
+from oracles import ATLAS_3, ATLAS_4, extension_taus_per_graph, mask_scan_atlas
 
 _GOOD = {"n": 3, "size": 2, "values": ["1", "3"], "graphs_scanned": 8, "elapsed_ms": 0}
 
@@ -61,23 +63,6 @@ _MALFORMED = {
     ),
     "negative-elapsed": ("atlas_3.json", json.dumps(dict(_GOOD, elapsed_ms=-1)), "elapsed_ms"),
 }
-
-
-class _FakePool:
-    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    map = staticmethod(map)
 
 
 @pytest.fixture(scope="module")
@@ -145,15 +130,30 @@ class TestExactAtlas:
         for n in range(1, 8):
             assert exact_atlas(n, jobs=jobs).values == mask_scans[n]
 
-    def test_extensions_are_canonical(self, monkeypatch):
-        # the extensions skip Graph validation, so each must already be what
-        # validation makes of its edges
-        def checked_tau(g):
-            assert g == Graph(g.n_vertices, g.edges)
-            return tau(g)
+    def test_kernel_matches_per_graph_tau(self):
+        for n in range(2, 8):
+            codes = atlas_module._classes(n - 1)
+            got = atlas_module._extension_taus(n, np.array(codes, dtype=np.int64))
+            assert got == extension_taus_per_graph(n, codes)
 
-        monkeypatch.setattr(atlas_module, "tau", checked_tau)
-        assert len(atlas_module._extension_taus(6, atlas_module._classes(5))) == 65
+    def test_kernel_matches_per_graph_tau_at_eight(self):
+        codes = random.Random(8).sample(atlas_module._classes(7), 24)
+        got = atlas_module._extension_taus(8, np.array(codes, dtype=np.int64))
+        assert got == extension_taus_per_graph(8, codes)
+
+    def test_int64_bound_covers_hard_cap(self):
+        # numpy int64 arrays wrap silently: the kernel is exact only while
+        # every update term, below 2 n^(2(n-1)), stays under 2^63
+        n = atlas_module.HARD_CAP
+        assert n <= 10 and 2 * n ** (2 * (n - 1)) < 2**63
+
+    def test_chunks_match_one_stack(self, small_atlases, monkeypatch, capsys):
+        # one class per chunk: 21 chunks on 5 vertices, each reported once
+        monkeypatch.setattr(atlas_module, "_CHUNK_ENTRIES", 1)
+        assert exact_atlas(6, progress=True).values == small_atlases[6].values
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"atlas n=6: chunk {i}/21" for i in range(1, 22)]
 
     def test_eight(self):
         record = exact_atlas(8, jobs=2)
@@ -162,22 +162,10 @@ class TestExactAtlas:
         assert record.graphs_scanned == 1 << 28
 
     def test_worker_split_matches_inline(self, small_atlases):
-        # 21 classes on 5 vertices: more than one worker starts on any
-        # machine with more than one core
+        # jobs is checked and starts no worker, so it cannot change the values
         split = exact_atlas(6, jobs=3)
         assert split.values == small_atlases[6].values
         assert split.graphs_scanned == small_atlases[6].graphs_scanned
-
-    def test_pool_size_bounded(self, small_atlases, monkeypatch):
-        monkeypatch.setattr(atlas_module, "ProcessPoolExecutor", _FakePool)
-        monkeypatch.setattr(_FakePool, "sizes", [])
-        # (jobs, cores, n): 6 classes on 4 vertices, 21 on 5
-        for jobs, cores, n in [(100_000, 64, 5), (100_000, 4, 6), (3, 64, 6), (2, 64, 2),
-                               (100_000, 1, 6), (1, 64, 6)]:
-            monkeypatch.setattr(atlas_module.os, "cpu_count", lambda: cores)
-            assert exact_atlas(n, jobs=jobs).values == small_atlases[n].values
-        # one class on 1 vertex, one core, one job: no pool at all
-        assert _FakePool.sizes == [6, 4, 3]
 
     def test_bad_jobs(self):
         for jobs in (0, -1):

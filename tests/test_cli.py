@@ -356,9 +356,8 @@ class TestAtlas:
         loud = run(*argv, "--progress")
         assert quiet[0] == loud[0] == 0
         assert loud[1] == quiet[1] and quiet[2] == ""
-        slices = min(2, os.cpu_count() or 1)  # one per worker, 6 classes to share
-        assert loud[2].splitlines() == [f"atlas n=5: slice {i}/{slices}"
-                                        for i in range(1, slices + 1)]
+        # 6 classes on 4 vertices fit one chunk; --jobs starts no worker
+        assert loud[2].splitlines() == ["atlas n=5: chunk 1/1"]
 
 
 class TestAlpha:

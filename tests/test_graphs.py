@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spantree import (
@@ -18,7 +18,7 @@ from spantree import (
     path,
 )
 
-from oracles import random_multigraph
+from oracles import is_connected_bfs, random_multigraph
 
 
 class TestConstruction:
@@ -120,6 +120,20 @@ class TestConnectivity:
     def test_disjoint_cycles(self):
         g = Graph(6, tuple(cycle(3).edges) + ((3, 4), (4, 5), (3, 5)))
         assert not is_connected(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(0, 9),
+        raw=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8), st.integers(1, 3)),
+                     max_size=12),
+    )
+    @example(n=0, raw=[])
+    @example(n=1, raw=[(0, 0, 1)])
+    def test_matches_bfs(self, n, raw):
+        # endpoints folded into range; loops dropped, repeats merged by Graph
+        edges = tuple((u % n, v % n, m) for u, v, m in raw if n and u % n != v % n)
+        g = Graph(n, edges)
+        assert is_connected(g) == is_connected_bfs(g)
 
 
 class TestDeleteContract:
