@@ -7,12 +7,18 @@ atlas files, not on stdout.  Exit codes: 0 success, 2 usage or input
 error (bad arguments, malformed edge lists or atlas files, unreadable or
 unwritable paths), 3 required atlas data missing.  Commands only compute;
 ``main`` alone renders their output and turns their errors into exit codes.
+
+``main`` builds its parser once per process, on its first call, and reuses
+it; nothing is built at import.  So that a reused parser carries nothing
+from one call to the next, ``--atlas-dir`` has no default in the parser:
+``alpha`` and ``bounds`` read ``SPANTREE_ATLAS_DIR`` each time they run.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -105,10 +111,16 @@ def _check_edge_count(option: str, edges: int) -> None:
 def _atlas_dir_arg(parser: argparse.ArgumentParser, required_hint: bool) -> None:
     parser.add_argument(
         "--atlas-dir",
-        default=os.environ.get("SPANTREE_ATLAS_DIR"),
         help="directory of atlas_<n>.json files"
         + (" (or SPANTREE_ATLAS_DIR)" if required_hint else ""),
     )
+
+
+def _atlas_dir(args: argparse.Namespace) -> str | None:
+    """--atlas-dir if given, else SPANTREE_ATLAS_DIR as set at this call."""
+    if args.atlas_dir is not None:
+        return args.atlas_dir
+    return os.environ.get("SPANTREE_ATLAS_DIR")
 
 
 def _cmd_tau(args: argparse.Namespace) -> _Output:
@@ -196,9 +208,10 @@ def _cmd_atlas(args: argparse.Namespace) -> _Output:
 def _cmd_alpha(args: argparse.Namespace) -> _Output:
     if args.m < 1:
         raise ValueError("--m must be >= 1")
-    if args.atlas_dir is None:
+    atlas_dir = _atlas_dir(args)
+    if atlas_dir is None:
         raise ValueError("--atlas-dir required (or set SPANTREE_ATLAS_DIR)")
-    directory = Path(args.atlas_dir)
+    directory = Path(atlas_dir)
     cache = load_atlas_dir(directory) if directory.is_dir() else {}
     if not cache:
         raise _MissingAtlas(f"no atlas files in {directory}")
@@ -219,9 +232,10 @@ def _cmd_alpha(args: argparse.Namespace) -> _Output:
 def _cmd_bounds(args: argparse.Namespace) -> _Output:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
+    atlas_dir = _atlas_dir(args)
     cache = {}
-    if args.atlas_dir is not None and Path(args.atlas_dir).is_dir():
-        cache = load_atlas_dir(args.atlas_dir)
+    if atlas_dir is not None and Path(atlas_dir).is_dir():
+        cache = load_atlas_dir(atlas_dir)
     header = ["n", "p_set", "atlas", "lower_log", "sedlacek", "azarija"]
     rows = []
     payload = []
@@ -373,6 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares across calls, built by the first one."""
+    return build_parser()
+
+
 _COMMANDS = {
     "tau": _cmd_tau,
     "partitions": _cmd_partitions,
@@ -385,9 +405,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

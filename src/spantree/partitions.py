@@ -34,9 +34,9 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(p < 1 for p in self.parts):
+        if self.parts and min(self.parts) < 1:
             raise ValueError("parts must be >= 1")
-        if any(a > b for a, b in zip(self.parts, self.parts[1:])):
+        if list(self.parts) != sorted(self.parts):
             raise ValueError("parts must be weakly increasing")
 
     @cached_property
@@ -136,21 +136,32 @@ def enumerate_partitions(n: int, part_class: PartClass) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    pool = allowed_parts(n, part_class)
+    yield from _enumerate(n, allowed_parts(n, part_class))
 
-    def rec(remaining: int, start: int, prefix: list[int]) -> Iterator[Partition]:
+
+def _enumerate(n: int, pool: list[int]) -> Iterator[Partition]:
+    """Partitions of ``n`` into parts from the ascending ``pool``, lexicographic.
+
+    A depth-first search kept on an explicit stack: ``taken`` holds the pool
+    index of each part of the current prefix.  A part larger than what is
+    left ends the candidates at that depth, so pool entries above ``n`` are
+    never used and one pool serves every sum up to its bound.
+    """
+    parts: list[int] = []
+    taken: list[int] = []
+    remaining, idx = n, 0
+    while True:
         if remaining == 0:
-            yield Partition(tuple(prefix))
+            yield Partition(tuple(parts))
+        elif idx < len(pool) and pool[idx] <= remaining:
+            parts.append(pool[idx])
+            taken.append(idx)
+            remaining -= pool[idx]
+            continue  # the next part may repeat this one
+        if not taken:
             return
-        for idx in range(start, len(pool)):
-            a = pool[idx]
-            if a > remaining:
-                break
-            prefix.append(a)
-            yield from rec(remaining - a, idx, prefix)
-            prefix.pop()
-
-    yield from rec(n, 0, [])
+        remaining += parts.pop()
+        idx = taken.pop() + 1
 
 
 def p_set_size(n: int) -> int:
@@ -176,8 +187,9 @@ def p_set_enumerate(n: int) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    pool = allowed_parts(n, PartClass.ODD_PRIME)
     for s in range(3, n + 1):
-        yield from enumerate_partitions(s, PartClass.ODD_PRIME)
+        yield from _enumerate(s, pool)
 
 
 def product_of_parts(parts: Sequence[int]) -> int:

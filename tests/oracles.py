@@ -7,7 +7,9 @@ classes, the extensions' counts are one ``tau`` of one ``Graph`` each
 instead of a batched elimination of L_G + diag(1_S), connectivity is a
 breadth-first search instead of union-find, unrestricted partition counts
 are the one-part-at-a-time dynamic program instead of Euler's pentagonal
-recurrence, and the float formulas are evaluated in linear space instead
+recurrence, partitions are listed by nested generators over a
+trial-division pool instead of an explicit stack over a sieved one, and
+the float formulas are evaluated in linear space instead
 of log-space.  Slow and simple on purpose.
 """
 
@@ -16,10 +18,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from typing import Iterator
 
 import numpy as np
 
-from spantree import Graph, tau
+from spantree import Graph, PartClass, Partition, tau
 
 # p(0)..p(10), then two classics, all long-published table values
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -59,6 +62,31 @@ def part_dp_counts(n: int, parts: list[int]) -> list[int]:
         for m in range(a, n + 1):
             dp[m] += dp[m - a]
     return dp
+
+
+def partitions_recursive(n: int, part_class: PartClass) -> Iterator[Partition]:
+    """Partitions of n with parts in the class, lexicographic: one generator
+    per part, each adding parts no smaller than its caller's."""
+    pool = [
+        a for a in range(1, n + 1)
+        if part_class is PartClass.ALL
+        or a > 1 and all(a % d for d in range(2, math.isqrt(a) + 1))
+        and (part_class is PartClass.PRIME or a != 2)
+    ]
+
+    def rec(remaining: int, start: int, prefix: list[int]) -> Iterator[Partition]:
+        if remaining == 0:
+            yield Partition(tuple(prefix))
+            return
+        for idx in range(start, len(pool)):
+            a = pool[idx]
+            if a > remaining:
+                break
+            prefix.append(a)
+            yield from rec(remaining - a, idx, prefix)
+            prefix.pop()
+
+    yield from rec(n, 0, [])
 
 
 def det_cofactor(mat: list[list[int]]) -> int:

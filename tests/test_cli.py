@@ -388,6 +388,22 @@ class TestAlpha:
         }
 
 
+def test_atlas_dir_env_read_per_call(run, atlas_dir, monkeypatch):
+    # one process, one shared parser: each call sees the variable as it is then
+    monkeypatch.delenv("SPANTREE_ATLAS_DIR", raising=False)
+    assert run("alpha", "--m", "3")[0] == 2
+    monkeypatch.setenv("SPANTREE_ATLAS_DIR", str(atlas_dir))
+    assert run("alpha", "--m", "3")[:2] == (0, "3\n")
+    code, out, _ = run("bounds", "--max-n", "5", "--format", "json")
+    assert code == 0
+    assert [r["atlas"] for r in json.loads(out)["rows"]] == [1, 1, 2, 5, 16]
+    monkeypatch.delenv("SPANTREE_ATLAS_DIR")
+    assert run("alpha", "--m", "3")[0] == 2
+    code, out, _ = run("bounds", "--max-n", "5", "--format", "json")
+    assert code == 0
+    assert [r["atlas"] for r in json.loads(out)["rows"]] == [None] * 5
+
+
 class TestBounds:
     def test_table_shape(self, run):
         code, out, _ = run("bounds", "--max-n", "7")
@@ -475,3 +491,45 @@ class TestStability:
 
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0
+
+
+class TestParserReuse:
+    def test_calls_leave_no_state(self, run, atlas_dir, bad_inputs):
+        argvs = [
+            argv.format(atlas=atlas_dir, bad=bad_inputs).split()
+            for argv in list(GOLDEN) + FAILING
+        ]
+        first = [run(*argv) for argv in argvs]
+        assert run("tau", "--cycle", "x")[0] == 2
+        assert run("--help")[0] == 0
+        again = [run(*argv) for argv in reversed(argvs)]
+        assert again[::-1] == first
+
+    def test_build_parser_returns_a_fresh_parser(self, run):
+        first, second = cli.build_parser(), cli.build_parser()
+        assert first is not second
+        assert cli._parser() not in (first, second)
+        first.add_argument("--extra", action="store_true")
+        assert first.parse_args(["--extra", "tau", "--cycle", "3"]).extra
+        with pytest.raises(SystemExit):
+            second.parse_args(["--extra", "tau", "--cycle", "3"])
+        assert run("--extra", "tau", "--cycle", "3")[0] == 2
+        assert run("tau", "--cycle", "3")[:2] == (0, "3\n")
+
+    def test_import_builds_no_parser(self):
+        # built on the first main call, so import time (setup) never pays for it
+        src = str(Path(spantree.__file__).resolve().parents[1])
+        script = (
+            "import spantree.cli as cli\n"
+            "print(cli._parser.cache_info().currsize)\n"
+            "cli.main(['tau', '--cycle', '3'])\n"
+            "print(cli._parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "0\n3\n1\n"

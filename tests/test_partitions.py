@@ -23,6 +23,7 @@ from oracles import (
     PARTITION_COUNTS,
     PRIMES_BELOW_100,
     part_dp_counts,
+    partitions_recursive,
 )
 
 
@@ -123,6 +124,18 @@ class TestEnumeration:
         seen = list(enumerate_partitions(20, PartClass.PRIME))
         assert len(seen) == len(set(seen))
 
+    @pytest.mark.parametrize(
+        "part_class, max_n",
+        # the unrestricted class has ~6.6M partitions over n <= 60, ~100 s of
+        # recursion; n <= 30 is ~28k of them and still reaches depth 30
+        [(PartClass.ALL, 30), (PartClass.PRIME, 60), (PartClass.ODD_PRIME, 60)],
+    )
+    def test_same_stream_as_recursion(self, part_class, max_n):
+        for n in range(max_n + 1):
+            assert list(enumerate_partitions(n, part_class)) == list(
+                partitions_recursive(n, part_class)
+            ), n
+
 
 class TestCumulativeFamily:
     def test_size_ten(self):
@@ -138,6 +151,11 @@ class TestCumulativeFamily:
 
     def test_excludes_empty_partition(self):
         assert all(len(p) >= 1 for p in p_set_enumerate(20))
+
+    def test_same_stream_as_recursion(self):
+        # one pool sieved for 60 serves every sum; the recursion gets its own
+        expected = [p for s in range(3, 61) for p in partitions_recursive(s, PartClass.ODD_PRIME)]
+        assert list(p_set_enumerate(60)) == expected
 
     def test_size_equals_stream_length(self):
         for n in range(0, 31):
