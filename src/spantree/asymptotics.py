@@ -150,7 +150,8 @@ def check_lhospital(n_grid: Sequence[int]) -> LhospitalReport:
     The ratio should drift toward 1 from below as the grid grows (the
     leading deficit is 1/ln n).  Central differences with step
     h = max(1, n/1000); everything runs through the scaled form above, so
-    grids far past the overflow point are fine.
+    grids far past the overflow point of f itself are fine.  Where the
+    difference still overflows a double, ValueError names the n.
     """
     if not n_grid:
         raise ValueError("grid must be nonempty")
@@ -160,7 +161,10 @@ def check_lhospital(n_grid: Sequence[int]) -> LhospitalReport:
         raise ValueError("grid must be ascending")
     rows = []
     for n in n_grid:
-        h = max(1.0, n / 1000.0)
-        r = scaled_central_derivative(_log_target, float(n), h, log_scale=_log_f(n))
+        try:
+            h = max(1.0, n / 1000.0)
+            r = scaled_central_derivative(_log_target, float(n), h, log_scale=_log_f(n))
+        except OverflowError as exc:
+            raise ValueError(f"n={n}: the central difference overflows double precision") from exc
         rows.append((n, r))
     return LhospitalReport(rows=tuple(rows))

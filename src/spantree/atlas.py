@@ -80,16 +80,22 @@ _CHUNK_ENTRIES = 1 << 20
 class AtlasRecord:
     """Exact realizable-count set for one vertex count.
 
-    ``values`` is sorted ascending; ``graphs_scanned`` is the number of
-    labelled edge subsets the atlas covers (2^C(n,2)), not the number of
-    graphs whose count was computed; ``elapsed`` is wall-clock seconds.
+    ``values`` is sorted ascending and ``elapsed`` is wall-clock seconds.
+    ``size`` and ``graphs_scanned`` follow from the other fields.
     """
 
     n: int
     values: tuple[int, ...]
-    size: int
-    graphs_scanned: int
     elapsed: float
+
+    @property
+    def size(self) -> int:
+        return len(self.values)
+
+    @property
+    def graphs_scanned(self) -> int:
+        """Labelled edge subsets covered, 2^C(n,2); not graphs whose count was computed."""
+        return 1 << (self.n * (self.n - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -199,31 +205,25 @@ def _extension_taus(n: int, codes: np.ndarray) -> set[int]:
     return set(np.unique(m[-1, -1]).tolist())
 
 
-def exact_atlas(n: int, *, jobs: int = 1, progress: bool = False) -> AtlasRecord:
+def exact_atlas(n: int, *, progress: bool = False) -> AtlasRecord:
     """Every spanning-tree count of a connected graph on n labeled vertices.
 
     Parameters
     ----------
     n : int
         Vertex count, 1 <= n <= ``HARD_CAP``.
-    jobs : int
-        At least 1, checked and otherwise unused: the atlas is one batched
-        elimination in this process and starts no worker at any value.  It
-        stays accepted so that existing callers and ``atlas --jobs`` work.
     progress : bool
         Report each finished chunk of classes on stderr.
 
     Returns
     -------
     AtlasRecord
-        Sorted distinct counts, subsets covered, elapsed seconds.
+        Sorted distinct counts and elapsed seconds.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > HARD_CAP:
         raise ValueError(f"n={n} exceeds the hard cap {HARD_CAP}")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
 
     start = time.perf_counter()
     values = {1}  # the single vertex; every larger atlas holds 1 too (trees)
@@ -236,14 +236,7 @@ def exact_atlas(n: int, *, jobs: int = 1, progress: bool = False) -> AtlasRecord
             if progress:
                 print(f"atlas n={n}: chunk {done}/{len(chunks)}", file=sys.stderr, flush=True)
     elapsed = time.perf_counter() - start
-    ordered = tuple(sorted(values))
-    return AtlasRecord(
-        n=n,
-        values=ordered,
-        size=len(ordered),
-        graphs_scanned=1 << (n * (n - 1) // 2),
-        elapsed=elapsed,
-    )
+    return AtlasRecord(n=n, values=tuple(sorted(values)), elapsed=elapsed)
 
 
 def alpha_exact(m: int, atlas_cache: Mapping[int, AtlasRecord]) -> AlphaRecord:
@@ -288,9 +281,7 @@ def azarija_skrekovski_bound(m: int) -> int | None:
     return (m + 9) // 4
 
 
-def verify_lower_bound(
-    n: int, *, record: AtlasRecord | None = None, jobs: int = 1
-) -> LowerBoundReport:
+def verify_lower_bound(n: int, *, record: AtlasRecord | None = None) -> LowerBoundReport:
     """Check the witness construction against the exhaustive atlas at n.
 
     Asserts nothing itself; the report carries whether the atlas has at
@@ -298,7 +289,7 @@ def verify_lower_bound(
     count actually appears in the atlas.
     """
     if record is None:
-        record = exact_atlas(n, jobs=jobs)
+        record = exact_atlas(n)
     elif record.n != n:
         raise ValueError(f"record is for n={record.n}, not n={n}")
     taus = [w.tau_value for w in witness_family(n)]
@@ -370,18 +361,12 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     if values[:1] != (1,) or values[-1:] != (cayley,):
         raise ValueError(f"{path}: values must be positive, from 1 (a tree) to {cayley} "
                          f"(the complete graph)")
-    subsets = 1 << (n * (n - 1) // 2)
-    if payload["graphs_scanned"] != subsets:
-        raise ValueError(f"{path}: graphs_scanned must be {subsets} (2^C(n,2))")
+    record = AtlasRecord(n=n, values=values, elapsed=payload["elapsed_ms"] / 1000.0)
+    if payload["graphs_scanned"] != record.graphs_scanned:
+        raise ValueError(f"{path}: graphs_scanned must be {record.graphs_scanned} (2^C(n,2))")
     if payload["elapsed_ms"] < 0:
         raise ValueError(f"{path}: elapsed_ms must be >= 0")
-    return AtlasRecord(
-        n=n,
-        values=values,
-        size=payload["size"],
-        graphs_scanned=payload["graphs_scanned"],
-        elapsed=payload["elapsed_ms"] / 1000.0,
-    )
+    return record
 
 
 def load_atlas_dir(directory: str | Path) -> dict[int, AtlasRecord]:

@@ -62,6 +62,14 @@ _P_EXACT_LIMIT = 10_000
 _LIST_LIMIT = 10**6
 _LIST_MAX_N = 2_000
 
+# partitions and bounds refuse a count table past this n before building it:
+# the prime classes take about a minute here, and N + 1 ints can exhaust memory
+_COUNT_MAX_N = 10**5
+
+# asymptotics refuses grid values past this: x ln x is computed in double
+# precision and overflows near 10^306
+_GRID_MAX = 10**300
+
 # the literals int() accepts, so a bad --grid is reported by its option name
 _INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
@@ -100,6 +108,12 @@ def _check_family_size(n: int, size: Callable[[int], int]) -> None:
     """Refuse a family of more than _LIST_LIMIT members before building it."""
     if n > _LIST_MAX_N or size(n) > _LIST_LIMIT:
         raise ValueError(f"--n {n}: more than {_LIST_LIMIT:,} members to list")
+
+
+def _check_count_n(option: str, n: int) -> None:
+    """Refuse a count table of more than _COUNT_MAX_N + 1 entries before building it."""
+    if n > _COUNT_MAX_N:
+        raise ValueError(f"{option} {n}: counts are computed only up to {_COUNT_MAX_N:,}")
 
 
 def _check_edge_count(option: str, edges: int) -> None:
@@ -156,6 +170,7 @@ def _cmd_partitions(args: argparse.Namespace) -> _Output:
         )
         payload["partitions"] = items = [str(p) for p in stream]
         return _Output(payload, ["partition"], [[s] for s in items])
+    _check_count_n("--n", args.n)
     count = p_set_size(args.n) if args.cumulative else count_partitions(args.n, part_class)
     payload["count"] = str(count)
     return _Output(payload, ["count"], [[str(count)]])
@@ -188,11 +203,13 @@ def _cmd_witness(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_atlas(args: argparse.Namespace) -> _Output:
+    if args.jobs < 1:  # --jobs starts no worker; it stays accepted for old scripts
+        raise ValueError("jobs must be >= 1")
     if args.out is not None:  # before the atlas is built, which takes seconds at n = 8
         out = Path(args.out)
         if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
             raise ValueError(f"--out {out}: not a file in a writable directory")
-    record = exact_atlas(args.n, jobs=args.jobs, progress=args.progress)
+    record = exact_atlas(args.n, progress=args.progress)
     if args.out is not None:
         save_atlas(record, args.out)
     payload = {
@@ -232,6 +249,7 @@ def _cmd_alpha(args: argparse.Namespace) -> _Output:
 def _cmd_bounds(args: argparse.Namespace) -> _Output:
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
+    _check_count_n("--max-n", args.max_n)
     atlas_dir = _atlas_dir(args)
     cache = {}
     if atlas_dir is not None and Path(atlas_dir).is_dir():
@@ -278,6 +296,8 @@ def _cmd_asymptotics(args: argparse.Namespace) -> _Output:
         raise ValueError("--grid must be ascending")
     if any(n < 2 for n in grid):
         raise ValueError("--grid values must be >= 2")
+    if any(n > _GRID_MAX for n in grid):
+        raise ValueError("--grid values must be <= 10^300")
     ratios = dict(check_lhospital(grid).rows) if args.check_lhospital else {}
     small = [n for n in grid if n <= _P_EXACT_LIMIT]
     exact_table = count_partitions_up_to(max(small), PartClass.ALL) if small else []

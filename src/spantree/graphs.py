@@ -106,14 +106,6 @@ class Graph:
                 return m
         return 0
 
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists, ignoring multiplicities."""
-        adj: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def edge_instances(self) -> list[tuple[int, int]]:
         """Every parallel copy as its own ``(u, v)`` pair."""
         out: list[tuple[int, int]] = []

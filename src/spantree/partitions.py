@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import isqrt
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -54,14 +55,23 @@ def primes_up_to(n: int) -> list[int]:
     """All primes <= n, ascending (sieve of Eratosthenes)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n < 2:
+    return _primes_in(0, n + 1)
+
+
+def _primes_in(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p < hi, ascending (segmented sieve of Eratosthenes).
+
+    Only [lo, hi) is sieved, by the primes up to its square root, which come
+    from the same sieve; so memory is hi - lo flags however large hi is.
+    `spanning` sieves its windows of CRT primes below 2^26 with it.
+    """
+    lo = max(lo, 2)
+    if hi <= lo:
         return []
-    flags = np.ones(n + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(n**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).tolist()
+    flags = np.ones(hi - lo, dtype=bool)
+    for q in _primes_in(2, isqrt(hi - 1) + 1):
+        flags[max(q * q, -(-lo // q) * q) - lo :: q] = False
+    return (lo + np.flatnonzero(flags)).tolist()
 
 
 def allowed_parts(n: int, part_class: PartClass) -> list[int]:

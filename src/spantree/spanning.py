@@ -45,13 +45,13 @@ from __future__ import annotations
 import heapq
 from functools import cache
 from itertools import chain, combinations
-from math import comb, isqrt, prod
+from math import comb, prod
 from typing import Iterator
 
 import numpy as np
 
 from .graphs import Graph
-from .partitions import primes_up_to
+from .partitions import _primes_in
 
 # Square matrix of exact integers, row-major.
 IntMatrix = list[list[int]]
@@ -234,16 +234,11 @@ def _primes() -> Iterator[int]:
 def _prime_window(i: int) -> tuple[int, ...]:
     """The primes in the i-th window below 2^_PRIME_BITS, descending.
 
-    Sieved by the primes up to the window's square root on first use, so
-    nothing is computed at import and every process sees the same list.
+    Sieved on first use, so nothing is computed at import and every process
+    sees the same list.
     """
     hi = (1 << _PRIME_BITS) - i * _PRIME_WINDOW
-    lo = hi - _PRIME_WINDOW
-    flags = np.ones(_PRIME_WINDOW, dtype=bool)
-    flags[: max(0, 2 - lo)] = False
-    for q in primes_up_to(isqrt(hi - 1)):
-        flags[max(q * q, -(-lo // q) * q) - lo :: q] = False
-    return tuple((lo + np.flatnonzero(flags))[::-1].tolist())
+    return tuple(reversed(_primes_in(hi - _PRIME_WINDOW, hi)))
 
 
 def tau(g: Graph) -> int:

@@ -35,15 +35,21 @@ __all__ = [
 class Witness:
     """An n-vertex connected graph with spanning-tree count Π parts.
 
-    ``tau_value`` is taken from the partition product; recomputing it from
-    the graph via the Laplacian is a verification step that belongs to the
-    test suite, not to construction.
+    ``tau_value`` is the partition product and ``n`` the graph's vertex
+    count; recomputing the count from the graph via the Laplacian is a
+    verification step that belongs to the test suite, not to construction.
     """
 
     partition: Partition
     graph: Graph
-    tau_value: int
-    n: int
+
+    @property
+    def tau_value(self) -> int:
+        return product_of_parts(self.partition.parts)
+
+    @property
+    def n(self) -> int:
+        return self.graph.n_vertices
 
 
 @dataclass(frozen=True)
@@ -125,7 +131,7 @@ def build_witness(p: Partition, n: int) -> Witness:
     if not all(_is_odd_prime(x) for x in set(p.parts)):
         raise ValueError("every part must be an odd prime")
     g = Graph._from_canonical(n, _flower_edges(p.parts, n))
-    return Witness(partition=p, graph=g, tau_value=product_of_parts(p.parts), n=n)
+    return Witness(partition=p, graph=g)
 
 
 def _is_odd_prime(x: int) -> bool:

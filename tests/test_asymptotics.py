@@ -112,3 +112,9 @@ class TestDerivativeCheck:
             check_lhospital([5, 100])
         with pytest.raises(ValueError):
             check_lhospital([100, 50])
+
+    def test_overflow_names_n(self):
+        # the step n/1000 is too coarse here: exp of the difference overflows
+        for n in (10**14, 10**16):
+            with pytest.raises(ValueError, match=f"n={n}: "):
+                check_lhospital([10**3, n])

@@ -125,10 +125,9 @@ class TestExactAtlas:
             1, 1, 2, 6, 21, 112, 853,
         ]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_matches_mask_scan(self, mask_scans, jobs):
+    def test_matches_mask_scan(self, mask_scans):
         for n in range(1, 8):
-            assert exact_atlas(n, jobs=jobs).values == mask_scans[n]
+            assert exact_atlas(n).values == mask_scans[n]
 
     def test_kernel_matches_per_graph_tau(self):
         for n in range(2, 8):
@@ -156,21 +155,10 @@ class TestExactAtlas:
         assert err.splitlines() == [f"atlas n=6: chunk {i}/21" for i in range(1, 22)]
 
     def test_eight(self):
-        record = exact_atlas(8, jobs=2)
-        assert record.size == 3_700
+        record = exact_atlas(8)
+        assert record.size == len(record.values) == 3_700
         assert (record.values[0], record.values[-1]) == (1, 8**6)
         assert record.graphs_scanned == 1 << 28
-
-    def test_worker_split_matches_inline(self, small_atlases):
-        # jobs is checked and starts no worker, so it cannot change the values
-        split = exact_atlas(6, jobs=3)
-        assert split.values == small_atlases[6].values
-        assert split.graphs_scanned == small_atlases[6].graphs_scanned
-
-    def test_bad_jobs(self):
-        for jobs in (0, -1):
-            with pytest.raises(ValueError, match="jobs must be >= 1"):
-                exact_atlas(3, jobs=jobs)
 
     def test_cap_without_force(self):
         # the force override is gone: nothing lifts the hard cap
@@ -254,7 +242,8 @@ class TestLowerBound:
             verify_lower_bound(4, record=small_atlases[5])
 
     def test_missing_values_detected(self):
-        fake = AtlasRecord(n=5, values=(1, 4), size=2, graphs_scanned=1024, elapsed=0.0)
+        fake = AtlasRecord(n=5, values=(1, 4), elapsed=0.0)
+        assert (fake.size, fake.graphs_scanned) == (2, 1024)
         report = verify_lower_bound(5, record=fake)
         assert not report.ok
         assert report.missing == (3, 5)

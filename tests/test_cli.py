@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,6 +240,34 @@ class TestPartitions:
         assert all(table[n] >= table[n - 3] for n in range(3, len(table)))
         assert min(table[-3:]) > cli._LIST_LIMIT
 
+    def test_huge_count_refused(self, capped_python):
+        # a table of 10^9 + 1 ints does not fit the cap: refused before it is built
+        proc = capped_python("-c", (
+            "import time\n"
+            "from spantree.cli import main\n"
+            "start = time.perf_counter()\n"
+            "print([main(argv.split()) for argv in (\n"
+            "    'partitions --n 1000000000 --class all',\n"
+            "    'partitions --n 1000000000 --class oddprime --cumulative',\n"
+            "    'bounds --max-n 1000000000',\n"
+            ")])\n"
+            "print(time.perf_counter() - start < 1)\n"
+        ))
+        assert (proc.returncode, proc.stdout) == (0, "[2, 2, 2]\nTrue\n")
+        assert proc.stderr == (
+            "error: --n 1000000000: counts are computed only up to 100,000\n" * 2
+            + "error: --max-n 1000000000: counts are computed only up to 100,000\n"
+        )
+
+    def test_count_limit_is_inclusive(self, run, monkeypatch):
+        monkeypatch.setattr(cli, "_COUNT_MAX_N", 10)
+        for cls, count in (("all", "42"), ("prime", "5"), ("oddprime", "2")):
+            assert run("partitions", "--n", "10", "--class", cls)[:2] == (0, f"{count}\n")
+            assert run("partitions", "--n", "11", "--class", cls)[0] == 2
+        assert run("partitions", "--n", "11", "--class", "oddprime", "--cumulative")[0] == 2
+        assert run("bounds", "--max-n", "10")[0] == 0
+        assert run("bounds", "--max-n", "11")[0] == 2
+
     def test_json_count(self, run):
         code, out, _ = run(
             "partitions", "--n", "10", "--class", "oddprime", "--cumulative",
@@ -466,6 +495,20 @@ class TestAsymptotics:
 
     def test_lhospital_needs_ten_plus(self, run):
         assert run("asymptotics", "--grid", "5,100", "--check-lhospital")[0] == 2
+
+    def test_lhospital_overflow_is_an_input_error(self, run):
+        for n in (10**14, 10**16):
+            code, out, err = run("asymptotics", "--grid", f"100,{n}", "--check-lhospital")
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: n={n}: ") and err.count("\n") == 1
+
+    def test_grid_past_double_range_refused(self, run):
+        for exponent in (301, 307, 308, 309, 400):
+            code, out, err = run("asymptotics", "--grid", str(10**exponent))
+            assert (code, out, err) == (2, "", "error: --grid values must be <= 10^300\n")
+        code, out, _ = run("asymptotics", "--grid", str(10**300), "--format", "json")
+        (row,) = json.loads(out)["rows"]
+        assert code == 0 and math.isfinite(row["lower_log"])
 
 
 class TestStability:

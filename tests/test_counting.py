@@ -394,7 +394,7 @@ class TestModularFinish:
             if cover > bound:
                 break
         assert cover > bound
-        assert len(set(primes)) == len(primes)
+        assert primes == sorted(set(primes), reverse=True)
         assert all(p < 2**26 and is_prime(p) for p in primes)
 
     def test_primes_sieved_on_first_use(self, capped_python):

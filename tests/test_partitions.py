@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from spantree import (
@@ -12,6 +14,7 @@ from spantree import (
     primes_up_to,
     product_of_parts,
 )
+from spantree.partitions import _primes_in
 
 from oracles import (
     ODD_PRIME_COUNTS,
@@ -61,6 +64,17 @@ class TestPrimes:
     def test_negative(self):
         with pytest.raises(ValueError):
             primes_up_to(-1)
+
+    def test_window_matches_sieve(self):
+        below = primes_up_to(3000)
+        for lo, hi in ((0, 0), (0, 3), (2, 3), (5, 5), (10, 9), (1, 100), (90, 1000),
+                       (2025, 3001)):
+            assert _primes_in(lo, hi) == [p for p in below if lo <= p < hi]
+
+    def test_window_far_from_zero(self):
+        lo = 10**6
+        trial = [x for x in range(lo, lo + 1000) if all(x % d for d in range(2, isqrt(x) + 1))]
+        assert _primes_in(lo, lo + 1000) == trial
 
     def test_allowed_parts(self):
         assert allowed_parts(6, PartClass.ALL) == [1, 2, 3, 4, 5, 6]

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -77,7 +78,7 @@ class TestFlower:
 class TestBuildWitness:
     def test_padding_to_ten(self):
         w = build_witness(Partition((3, 5)), 10)
-        assert w.graph.n_vertices == 10
+        assert w.graph.n_vertices == w.n == 10
         assert w.tau_value == 15
         assert tau(w.graph) == 15
 
@@ -131,7 +132,8 @@ class TestFamily:
     def test_ten_vertex_family(self):
         ws = list(witness_family(10))
         assert [w.tau_value for w in ws] == P10_TAUS
-        assert all(w.graph.n_vertices == 10 for w in ws)
+        assert all(w.tau_value == math.prod(w.partition.parts) for w in ws)
+        assert all(w.graph.n_vertices == w.n == 10 for w in ws)
         assert all(is_connected(w.graph) for w in ws)
 
     def test_three_is_single_triangle(self):
