@@ -4,7 +4,7 @@ The atlas for n collects the distinct spanning-tree counts of the
 connected graphs among all 2^C(n,2) edge subsets of the complete graph.
 It evaluates far fewer: every connected graph is a connected graph on one
 vertex fewer plus a vertex joined to some of the others, so counting the
-extensions of one graph per isomorphism class covers every subset.
+extensions of at least one graph per isomorphism class covers every subset.
 With the atlas in hand, questions become lookups: the least vertex count
 realizing a given m, whether the witness construction's counts all really
 occur, and how the classical vertex-count bounds compare.

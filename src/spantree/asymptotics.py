@@ -31,9 +31,14 @@ __all__ = [
     "integral_target",
     "scaled_central_derivative",
     "check_lhospital",
+    "N_MAX",
 ]
 
 _MAIN_COEFF = 2.0 * math.pi / math.sqrt(3.0)
+
+# every estimate refuses n past this: n ln n is computed in double precision
+# and overflows near 10^306
+N_MAX = 10**300
 
 
 class Formula(Enum):
@@ -81,15 +86,15 @@ def _log_target(x: float) -> float:
 
 def hardy_ramanujan(n: int) -> Estimate:
     """Partition-count asymptotic exp(pi sqrt(2n/3)) / (4 n sqrt(3))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= N_MAX:
+        raise ValueError("n must be >= 1 and <= 10^300")
     return Estimate(Formula.HARDY_RAMANUJAN, n, _log_hr(n))
 
 
 def prime_main_term(n: int) -> Estimate:
     """Main term f(n) for partitions into primes; needs ln n > 0, so n >= 2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not 2 <= n <= N_MAX:
+        raise ValueError("n must be >= 2 and <= 10^300")
     return Estimate(Formula.PRIME_PARTITION_MAIN_TERM, n, _log_f(n))
 
 
@@ -100,15 +105,15 @@ def cumulative_lower_bound(n: int) -> Estimate:
     finite comparison against the exact count is asserted anywhere; tables
     put the two side by side and leave the judgment to the reader.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not 2 <= n <= N_MAX:
+        raise ValueError("n must be >= 2 and <= 10^300")
     return Estimate(Formula.CUMULATIVE_LOWER_BOUND, n, _log_cumulative(n))
 
 
 def integral_target(n: int) -> Estimate:
     """Closed form (sqrt(3)/pi) sqrt(n ln n) f(n) for the integral of f."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not 2 <= n <= N_MAX:
+        raise ValueError("n must be >= 2 and <= 10^300")
     return Estimate(Formula.INTEGRAL_TARGET, n, _log_target(n))
 
 
@@ -157,6 +162,8 @@ def check_lhospital(n_grid: Sequence[int]) -> LhospitalReport:
         raise ValueError("grid must be nonempty")
     if any(n < 10 for n in n_grid):
         raise ValueError("grid values must be >= 10")
+    if any(n > N_MAX for n in n_grid):
+        raise ValueError("grid values must be <= 10^300")
     if any(a > b for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("grid must be ascending")
     rows = []

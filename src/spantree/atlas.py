@@ -5,38 +5,35 @@ connected graphs on n labeled vertices, i.e. over the 2^C(n,2) edge subsets
 of the complete graph.  Every connected graph on n >= 2 vertices is one on
 n - 1 vertices plus a vertex joined to a nonempty subset of them (delete a
 leaf of a spanning tree), and isomorphic graphs share their count.  So the
-atlas is the set of counts of the 2^(n-1) - 1 extensions of one graph per
-isomorphism class on n - 1 vertices.
+atlas is the set of counts of the 2^(n-1) - 1 extensions of each graph of
+a cover: connected graphs on n - 1 vertices, at least one per class.
 
-The class lists grow the same way and are deduplicated by an exact
-canonical code.  A graph on k vertices is a bitmask over pairs in colex
-order (pair u < v is bit v(v-1)/2 + u), so joining vertex k - 1 to the
-subset S adds S << C(k-1, 2).  Its code is the least mask over all k!
-relabellings: the candidates' int64 bit rows times a table of each pair's
-bit under each permutation.  Codes stay below 2^21, since n <= ``HARD_CAP``
-= 8 needs no list past k = 7.
+Covers grow the same way.  A graph on k vertices is a bitmask over pairs
+in colex order (pair u < v is bit v(v-1)/2 + u), so joining vertex k - 1
+to the subset S adds S << C(k-1, 2).  Each candidate is relabelled once, by
+a colour-refinement order of its vertices, and equal codes are merged.  A
+relabelled graph stays in its class, so no class loses its last member;
+what is not merged (967 graphs for 853 classes at k = 7) costs only kernel
+time.  Codes stay below 2^21, as n <= ``HARD_CAP`` = 8 needs k <= 7.
 
 The count of an extension needs no graph.  Strike the new vertex from the
 Laplacian of "G plus a vertex joined to S": what remains is L_G + diag(1_S),
 whose determinant is the count (matrix-tree theorem).  G is connected, so
-L_G is positive semidefinite with kernel the constant vectors, and adding
-diag(1_S) for a nonempty S makes it positive definite.  Every leading
-principal minor of a positive definite matrix is positive, so fraction-free
-(Bareiss) elimination never meets a zero pivot and needs no pivot search:
-the whole stack of matrices, for a chunk of classes times every subset, is
-eliminated together in k - 1 vectorized int64 steps (k = n - 1), and the
-last pivots are the counts.
+every proper principal submatrix of L_G, and all of L_G + diag(1_S) for a
+nonempty S, is positive definite: fraction-free (Bareiss) elimination meets
+no zero pivot before the last and needs no pivot search.  After t steps the
+trailing block for S is that for S minus {t, t+1, ...} plus the last pivot
+times diag(1_S) on it, so the subsets share their steps as a binary tree
+that branches on vertex t just before its pivot.
 
 int64 arrays wrap silently on overflow (numpy warns only for scalars), so
-the kernel rests on a bound instead of a check.  Each row of L_G + diag(1_S)
-has a diagonal entry of at most k and at most k - 1 entries -1, so its
-Euclidean norm is below k + 1 = n.  Every entry the elimination forms is a
-minor of that matrix, below n^(n-1) by Hadamard's inequality, and every
-update term is a difference of two products of such entries, below
-2 n^(2(n-1)).  That is under 2^63 for n <= 10, which covers ``HARD_CAP``.
-
-All of the work runs in this process, chunk by chunk, and the merge is set
-union, so the result cannot depend on how the classes are chunked.
+the kernel rests on a bound instead of a check.  Every entry the tree holds
+is a minor of some L_G + diag(s), s in {0, 1}^k, whose rows have norm below
+k + 1 = n (a diagonal entry of at most k, at most k - 1 entries -1): below
+n^(n-1) by Hadamard's inequality.  Every update term is a difference of two
+products of such entries, below 2 n^(2(n-1)) < 2^63 for n <= 10, which
+covers ``HARD_CAP``.  The merge over chunks of the cover is set union, so
+the result cannot depend on the chunking.
 """
 
 from __future__ import annotations
@@ -45,12 +42,12 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from itertools import permutations
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
+from .graphs import read_text_bounded
 from .witness import witness_family
 
 __all__ = [
@@ -71,8 +68,7 @@ __all__ = [
 
 HARD_CAP = 8
 
-# int64 entries per chunk: relabelled masks of the canonical-code product, or
-# matrix entries of the extension stack
+# int64 entries per chunk of the subset tree's largest level
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -140,69 +136,65 @@ class LowerBoundReport:
         return self.ok
 
 
-def _pairs(k: int) -> list[tuple[int, int]]:
-    """Vertex pairs of k vertices in colex order: (u, v) is bit v(v-1)/2 + u."""
-    return [(u, v) for v in range(k) for u in range(v)]
+def _adjacency(codes: np.ndarray, k: int) -> np.ndarray:
+    """0/1 adjacency matrices of these colex bit rows, the batch on the last axis.
+
+    With the batch last, every elementwise step runs over contiguous runs
+    of matrices.  The rows below the diagonal list the pairs in colex order.
+    """
+    vs, us = np.tril_indices(k, -1)
+    adj = np.zeros((k, k, len(codes)), dtype=np.int64)
+    adj[us, vs] = adj[vs, us] = (codes >> np.arange(len(us))[:, None]) & 1
+    return adj
 
 
-def _relabel_table(k: int) -> np.ndarray:
-    """Bit of each pair (rows) under each permutation of k vertices (columns)."""
-    perms = np.array(list(permutations(range(k))), dtype=np.int64)
-    us, vs = np.array(_pairs(k), dtype=np.int64).T
-    a, b = perms[:, us], perms[:, vs]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return (1 << (hi * (hi - 1) // 2 + lo)).T
+def _relabel(codes: np.ndarray, k: int) -> np.ndarray:
+    """Codes of these graphs on k vertices, each relabelled by a vertex key.
+
+    A stable sort orders the vertices by a key that starts as the degree
+    and is refined twice to key * k^3 + the sum of the neighbours' keys.
+    Isomorphic graphs often get the same code, and a relabelled graph is
+    always isomorphic.
+    """
+    adj = _adjacency(codes, k)
+    key = adj.sum(axis=1)
+    for _ in range(2):
+        key = key * k**3 + (adj * key).sum(axis=1)
+    order = np.argsort(key, axis=0, kind="stable")  # new label -> old vertex
+    vs, us = np.tril_indices(k, -1)
+    bits = adj[order[us], order[vs], np.arange(len(codes))]
+    return (bits << np.arange(len(us))[:, None]).sum(axis=0)
 
 
 def _classes(k: int) -> list[int]:
-    """Canonical codes of the connected graphs on k vertices, ascending."""
+    """Codes of connected graphs on k vertices, at least one per isomorphism class."""
     codes = np.zeros(1, dtype=np.int64)  # the single vertex
     for j in range(2, k + 1):
         joins = np.arange(1, 1 << (j - 1), dtype=np.int64) << ((j - 1) * (j - 2) // 2)
-        candidates = (codes[:, None] | joins).ravel()
-        table = _relabel_table(j)
-        bits = np.arange(len(table))
-        step = max(1, _CHUNK_ENTRIES // table.shape[1])
-        least = [
-            (((chunk[:, None] >> bits) & 1) @ table).min(axis=1)
-            for chunk in np.split(candidates, range(step, len(candidates), step))
-        ]
-        codes = np.unique(np.concatenate(least))
+        codes = np.unique(_relabel((codes[:, None] | joins).ravel(), j))
     return codes.tolist()
 
 
 def _extension_taus(n: int, codes: np.ndarray) -> set[int]:
-    """Distinct counts of the one-vertex extensions to n vertices of these classes.
+    """Distinct counts of the one-vertex extensions to n vertices of these graphs.
 
-    The count of the extension joined to S is det(L_G + diag(1_S)) (see the
-    module docstring), so the kernel builds L_G of each class from its colex
-    bit row, adds every subset diagonal and eliminates the stack of
-    len(codes) * (2^(n-1) - 1) matrices of side k = n - 1 together, without
-    pivoting.  Every update term is below 2 n^(2(n-1)) < 2^63 for n <= 10,
-    so no int64 entry wraps.  The stack holds k^2 (2^k - 1) entries per
-    class; callers bound it by passing chunks of classes.
+    The subset tree of the module docstring: before step t the batch
+    doubles and the half with t in S adds the last pivot to entry (t, t).
+    The final pivots are the counts of all 2^k subsets, the empty one's
+    (det L_G = 0) first.  No level holds 2^(k+2) entries per graph.
     """
     k = n - 1
-    us, vs = np.array(_pairs(k), dtype=np.int64).reshape(-1, 2).T
-    joined = (np.arange(1, 1 << k, dtype=np.int64) >> np.arange(k)[:, None]) & 1
-    diag = np.arange(k)
-    # the batch is the last axis, so every elementwise step runs over
-    # contiguous runs of matrices
-    lap = np.zeros((k, k, len(codes)), dtype=np.int64)
-    lap[us, vs] = lap[vs, us] = -((codes >> np.arange(len(us))[:, None]) & 1)
-    lap[diag, diag] = -lap.sum(axis=1)
-    m = np.repeat(lap[..., None], joined.shape[1], axis=3)
-    m[diag, diag] += joined[:, None, :]
-    m = m.reshape(k, k, -1)
-    prev = 1
-    for col in range(k - 1):
-        pivot = m[col, col]  # a leading minor, positive
-        rest = m[col + 1:, col + 1:]
-        rest *= pivot
-        rest -= m[col + 1:, col, None] * m[None, col, col + 1:]
-        rest //= prev  # exact
+    m = -_adjacency(codes, k)
+    m[range(k), range(k)] = -m.sum(axis=1)
+    prev = np.ones(len(codes), dtype=np.int64)
+    for _ in range(k):
+        m = np.concatenate([m, m], axis=2)
+        m[0, 0, len(prev):] += prev  # the half with t in S
+        prev = np.concatenate([prev, prev])
+        pivot = m[0, 0]  # a leading minor, positive until the last step
+        m = (m[1:, 1:] * pivot - m[1:, :1] * m[:1, 1:]) // prev  # exact
         prev = pivot
-    return set(np.unique(m[-1, -1]).tolist())
+    return set(np.unique(prev[len(codes):]).tolist())
 
 
 def exact_atlas(n: int, *, progress: bool = False) -> AtlasRecord:
@@ -213,7 +205,7 @@ def exact_atlas(n: int, *, progress: bool = False) -> AtlasRecord:
     n : int
         Vertex count, 1 <= n <= ``HARD_CAP``.
     progress : bool
-        Report each finished chunk of classes on stderr.
+        Report each finished chunk of the cover on stderr.
 
     Returns
     -------
@@ -228,9 +220,9 @@ def exact_atlas(n: int, *, progress: bool = False) -> AtlasRecord:
     start = time.perf_counter()
     values = {1}  # the single vertex; every larger atlas holds 1 too (trees)
     if n > 1:
-        classes = np.array(_classes(n - 1), dtype=np.int64)
-        step = max(1, _CHUNK_ENTRIES // ((n - 1) ** 2 * ((1 << (n - 1)) - 1)))
-        chunks = np.split(classes, range(step, len(classes), step))
+        cover = np.array(_classes(n - 1), dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES >> (n + 1))
+        chunks = np.split(cover, range(step, len(cover), step))
         for done, chunk in enumerate(chunks, 1):
             values |= _extension_taus(n, chunk)
             if progress:
@@ -319,6 +311,9 @@ def save_atlas(record: AtlasRecord, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+# load_atlas refuses a larger file before parsing it; atlas_8.json is 44,226 bytes
+_ATLAS_FILE_LIMIT = 2**20
+
 # key -> type of every field an atlas file must hold
 _ATLAS_FIELDS = {"n": int, "size": int, "values": list, "graphs_scanned": int, "elapsed_ms": int}
 
@@ -330,11 +325,12 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     type, 1 <= n <= ``HARD_CAP``, and ``values`` strictly ascending positive
     decimal strings, ``size`` of them, from 1 (a tree) to the count of the
     complete graph (Cayley's n^(n-2)), ``graphs_scanned`` 2^C(n,2) and
-    ``elapsed_ms`` >= 0.  A value string longer than Cayley's count is
-    rejected before any value is converted.
+    ``elapsed_ms`` >= 0.  A file of more than ``_ATLAS_FILE_LIMIT`` bytes
+    is rejected before it is parsed, and a value string longer than
+    Cayley's count before any value is converted.
     """
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text_bounded(path, _ATLAS_FILE_LIMIT))
     except (json.JSONDecodeError, UnicodeDecodeError,
             RecursionError) as exc:  # deep nesting recurses
         raise ValueError(f"{path}: not JSON ({exc})") from exc

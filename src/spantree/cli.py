@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .asymptotics import (
+    N_MAX,
     check_lhospital,
     cumulative_lower_bound,
     hardy_ramanujan,
@@ -41,7 +42,14 @@ from .atlas import (
     save_atlas,
     sedlacek_bound,
 )
-from .graphs import EdgeListError, complete, cycle, format_edge_list, parse_edge_list
+from .graphs import (
+    EdgeListError,
+    complete,
+    cycle,
+    format_edge_list,
+    parse_edge_list,
+    read_text_bounded,
+)
 from .partitions import (
     PartClass,
     count_partitions,
@@ -62,13 +70,13 @@ _P_EXACT_LIMIT = 10_000
 _LIST_LIMIT = 10**6
 _LIST_MAX_N = 2_000
 
+# tau --input refuses a larger edge list before parsing it, so that parsing
+# a file at the limit (about 10^6 distinct edges) stays below 512 MB
+_INPUT_LIMIT = 8 * 2**20
+
 # partitions and bounds refuse a count table past this n before building it:
 # the prime classes take about a minute here, and N + 1 ints can exhaust memory
 _COUNT_MAX_N = 10**5
-
-# asymptotics refuses grid values past this: x ln x is computed in double
-# precision and overflows near 10^306
-_GRID_MAX = 10**300
 
 # the literals int() accepts, so a bad --grid is reported by its option name
 _INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
@@ -102,6 +110,11 @@ def _render(fmt: str, out: _Output) -> None:
         widths = [max(map(len, column)) for column in zip(*table)]
         for row in table:
             print(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+
+
+def _cell(value: object) -> str:
+    """A table or CSV cell: "-" for None, six decimals for a float."""
+    return "-" if value is None else f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
 def _check_family_size(n: int, size: Callable[[int], int]) -> None:
@@ -139,7 +152,7 @@ def _atlas_dir(args: argparse.Namespace) -> str | None:
 
 def _cmd_tau(args: argparse.Namespace) -> _Output:
     if args.input is not None:
-        g = parse_edge_list(Path(args.input).read_text(encoding="utf-8"))
+        g = parse_edge_list(read_text_bounded(args.input, _INPUT_LIMIT))
     elif args.cycle is not None:
         _check_edge_count(f"--cycle {args.cycle}", args.cycle)
         g = cycle(args.cycle)
@@ -255,7 +268,6 @@ def _cmd_bounds(args: argparse.Namespace) -> _Output:
     if atlas_dir is not None and Path(atlas_dir).is_dir():
         cache = load_atlas_dir(atlas_dir)
     header = ["n", "p_set", "atlas", "lower_log", "sedlacek", "azarija"]
-    rows = []
     payload = []
     odd_prime = count_partitions_up_to(args.max_n, PartClass.ODD_PRIME)
     p_set = 0
@@ -263,28 +275,9 @@ def _cmd_bounds(args: argparse.Namespace) -> _Output:
         p_set += odd_prime[n]  # = p_set_size(n), as no odd-prime partition sums to 1 or 2
         atlas_size = cache[n].size if n in cache else None
         lower = cumulative_lower_bound(n).log_value if n >= 2 else None
-        sed = sedlacek_bound(n)
-        azs = azarija_skrekovski_bound(n)
-        payload.append(
-            {
-                "n": n,
-                "p_set": str(p_set),
-                "atlas": atlas_size,
-                "lower_log": lower,
-                "sedlacek": sed,
-                "azarija": azs,
-            }
-        )
-        rows.append(
-            [
-                str(n),
-                str(p_set),
-                "-" if atlas_size is None else str(atlas_size),
-                "-" if lower is None else f"{lower:.6f}",
-                "-" if sed is None else str(sed),
-                "-" if azs is None else str(azs),
-            ]
-        )
+        values = [n, str(p_set), atlas_size, lower, sedlacek_bound(n), azarija_skrekovski_bound(n)]
+        payload.append(dict(zip(header, values)))
+    rows = [[_cell(v) for v in entry.values()] for entry in payload]
     return _Output({"rows": payload}, header, rows, [header] + rows)
 
 
@@ -296,7 +289,7 @@ def _cmd_asymptotics(args: argparse.Namespace) -> _Output:
         raise ValueError("--grid must be ascending")
     if any(n < 2 for n in grid):
         raise ValueError("--grid values must be >= 2")
-    if any(n > _GRID_MAX for n in grid):
+    if any(n > N_MAX for n in grid):
         raise ValueError("--grid values must be <= 10^300")
     ratios = dict(check_lhospital(grid).rows) if args.check_lhospital else {}
     small = [n for n in grid if n <= _P_EXACT_LIMIT]
@@ -309,33 +302,21 @@ def _cmd_asymptotics(args: argparse.Namespace) -> _Output:
     for n in grid:
         p_exact = exact_table[n] if n <= _P_EXACT_LIMIT else None
         hr = hardy_ramanujan(n)
-        ratio = None
-        if p_exact is not None and hr.value is not None:
-            ratio = p_exact / hr.value
-        f_log = prime_main_term(n).log_value
-        lower_log = cumulative_lower_bound(n).log_value
         entry = {
             "n": n,
             "p_exact": None if p_exact is None else str(p_exact),
             "hr_log": hr.log_value,
             "hr_value": hr.value,
-            "ratio": ratio,
-            "f_log": f_log,
-            "lower_log": lower_log,
+            "ratio": None if p_exact is None or hr.value is None else p_exact / hr.value,
+            "f_log": prime_main_term(n).log_value,
+            "lower_log": cumulative_lower_bound(n).log_value,
         }
-        row = [
-            str(n),
-            "-" if p_exact is None else str(p_exact),
-            f"{hr.value:.6e}" if hr.value is not None else f"exp({hr.log_value:.6f})",
-            "-" if ratio is None else f"{ratio:.6f}",
-            f"{f_log:.6f}",
-            f"{lower_log:.6f}",
-        ]
         if args.check_lhospital:
             entry["r"] = ratios[n]
-            row.append(f"{ratios[n]:.6f}")
+        hr_cell = f"{hr.value:.6e}" if hr.value is not None else f"exp({hr.log_value:.6f})"
+        rest = [_cell(entry[key]) for key in header[3:]]  # these columns are entry keys
+        rows.append([str(n), _cell(entry["p_exact"]), hr_cell, *rest])
         payload.append(entry)
-        rows.append(row)
     return _Output({"rows": payload}, header, rows, [header] + rows)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 
 class EdgeListError(ValueError):
@@ -247,6 +248,20 @@ def format_edge_list(g: Graph) -> str:
     for u, v, m in g.edges:
         lines.append(f"{u} {v}" if m == 1 else f"{u} {v} {m}")
     return "\n".join(lines) + "\n"
+
+
+def read_text_bounded(path: str | Path, limit: int) -> str:
+    """The UTF-8 text of a file, read only up to one byte past ``limit``: a
+    larger (or endless) file raises ValueError naming the path."""
+    data = bytearray()
+    with open(path, "rb") as handle:
+        # in blocks, as read(limit + 1) would allocate limit + 1 bytes every call;
+        # the last block ends at limit + 1 bytes, after which read(0) is empty
+        while block := handle.read(min(1 << 16, limit + 1 - len(data))):
+            data += block
+    if len(data) > limit:
+        raise ValueError(f"{path}: larger than {limit:,} bytes")
+    return data.decode("utf-8")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -4,12 +4,13 @@ Nothing in here shares code paths with what it checks: the determinant is
 cofactor expansion instead of fraction-free elimination, the atlas is a
 scan of every labelled edge subset instead of an extension of isomorphism
 classes, the extensions' counts are one ``tau`` of one ``Graph`` each
-instead of a batched elimination of L_G + diag(1_S), connectivity is a
-breadth-first search instead of union-find, unrestricted partition counts
-are the one-part-at-a-time dynamic program instead of Euler's pentagonal
-recurrence, partitions are listed by nested generators over a
-trial-division pool instead of an explicit stack over a sieved one, and
-the float formulas are evaluated in linear space instead
+instead of a subset tree over L_G, a graph's exact canonical code is its
+least code over all k! relabellings instead of one colour-refinement
+relabelling, connectivity is a breadth-first search instead of union-find,
+unrestricted partition counts are the one-part-at-a-time dynamic program
+instead of Euler's pentagonal recurrence, partitions are listed by nested
+generators over a trial-division pool instead of an explicit stack over a
+sieved one, and the float formulas are evaluated in linear space instead
 of log-space.  Slow and simple on purpose.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from itertools import permutations
 from typing import Iterator
 
 import numpy as np
@@ -235,6 +237,30 @@ def extension_taus_per_graph(n: int, codes) -> set[int]:
             join = tuple((v, k) for v in range(k) if s >> v & 1)
             values.add(tau(Graph(n, edges + join)))
     return values
+
+
+def graph_of_code(k: int, code: int) -> Graph:
+    """The graph on k vertices with this colex code (pair u < v is bit
+    v(v-1)/2 + u)."""
+    pairs = [(u, v) for v in range(k) for u in range(v)]
+    return Graph(k, tuple(p for i, p in enumerate(pairs) if code >> i & 1))
+
+
+def least_codes(k: int, codes) -> list[int]:
+    """Exact canonical codes: each graph's least colex code over all k!
+    relabellings, as its bit row times a table of each pair's bit under
+    each permutation."""
+    perms = np.array(list(permutations(range(k))), dtype=np.int64)
+    pairs = [(u, v) for v in range(k) for u in range(v)]
+    us, vs = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    a, b = perms[:, us], perms[:, vs]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    table = (1 << (hi * (hi - 1) // 2 + lo)).T  # pairs x permutations
+    out: list[int] = []
+    for code in map(int, codes):
+        row = np.array([code >> i & 1 for i in range(len(us))], dtype=np.int64)
+        out.append(int((row @ table).min()))
+    return out
 
 
 def is_connected_bfs(g: Graph) -> bool:

@@ -13,6 +13,7 @@ from spantree import (
     prime_main_term,
     scaled_central_derivative,
 )
+from spantree.asymptotics import N_MAX
 
 from oracles import P_100, cumulative_linear, f_linear, hr_linear, target_linear
 
@@ -50,6 +51,17 @@ class TestEstimates:
         for fn in (prime_main_term, cumulative_lower_bound, integral_target):
             with pytest.raises(ValueError):
                 fn(1)
+
+    @pytest.mark.parametrize(
+        "fn", [hardy_ramanujan, prime_main_term, cumulative_lower_bound, integral_target]
+    )
+    def test_range_ends_at_n_max(self, fn):
+        # past 10^300, n ln n nears the double range: nan, inf, then OverflowError
+        assert N_MAX == 10**300
+        assert math.isfinite(fn(N_MAX).log_value)
+        for n in (N_MAX + 1, 10**400):
+            with pytest.raises(ValueError, match=r"n must be >= \d and <= 10\^300"):
+                fn(n)
 
     def test_algebraic_offsets_from_main_term(self):
         # both composite formulas differ from f only by the same
@@ -112,6 +124,14 @@ class TestDerivativeCheck:
             check_lhospital([5, 100])
         with pytest.raises(ValueError):
             check_lhospital([100, 50])
+
+    def test_range_ends_at_n_max(self):
+        # at 10^300 the central difference itself overflows, which is its own error
+        with pytest.raises(ValueError, match=f"n={N_MAX}: "):
+            check_lhospital([N_MAX])
+        for n in (N_MAX + 1, 10**400):
+            with pytest.raises(ValueError, match=r"grid values must be <= 10\^300"):
+                check_lhospital([10**3, n])
 
     def test_overflow_names_n(self):
         # the step n/1000 is too coarse here: exp of the difference overflows

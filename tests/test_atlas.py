@@ -1,9 +1,12 @@
+import hashlib
 import json
 import random
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spantree.atlas as atlas_module
 from spantree import (
@@ -22,7 +25,21 @@ from spantree import (
     verify_lower_bound,
 )
 
-from oracles import ATLAS_3, ATLAS_4, extension_taus_per_graph, mask_scan_atlas
+from oracles import (
+    ATLAS_3,
+    ATLAS_4,
+    extension_taus_per_graph,
+    graph_of_code,
+    least_codes,
+    mask_scan_atlas,
+)
+
+# connected graphs on k = 1..7 vertices up to isomorphism (OEIS A001349)
+CLASS_COUNTS = [1, 1, 2, 6, 21, 112, 853]
+
+# SHA-256 of the comma-joined values of exact_atlas(8) as computed by the
+# exact canonical-code atlas this one replaced; the mask scan takes too long here
+A8_SHA256 = "5d3d7f48169f89f89d9f219f879e921a06f33e921ddaeb2fc367d3de5e9ac26f"
 
 _GOOD = {"n": 3, "size": 2, "values": ["1", "3"], "graphs_scanned": 8, "elapsed_ms": 0}
 
@@ -63,6 +80,16 @@ _MALFORMED = {
     ),
     "negative-elapsed": ("atlas_3.json", json.dumps(dict(_GOOD, elapsed_ms=-1)), "elapsed_ms"),
 }
+
+
+def _random_connected(rng: random.Random, k: int, count: int) -> list[int]:
+    """Codes of ``count`` random connected graphs on k vertices, any labelling."""
+    codes: list[int] = []
+    while len(codes) < count:
+        code = rng.getrandbits(k * (k - 1) // 2)
+        if is_connected(graph_of_code(k, code)):
+            codes.append(code)
+    return codes
 
 
 @pytest.fixture(scope="module")
@@ -119,35 +146,58 @@ class TestExactAtlas:
             assert small_atlases[n].values == tuple(sorted(taus))
 
     def test_class_counts(self):
-        # connected graphs up to isomorphism (OEIS A001349): a code that
-        # missed an isomorphism would list more, one that merged two graphs fewer
-        assert [len(atlas_module._classes(k)) for k in range(1, 8)] == [
-            1, 1, 2, 6, 21, 112, 853,
-        ]
+        # the cover reaches every class (its exact codes number them all),
+        # and a key that stopped refining would keep far more than one
+        # graph per class
+        for k, classes in enumerate(CLASS_COUNTS, 1):
+            cover = atlas_module._classes(k)
+            assert len(set(least_codes(k, cover))) == classes
+            assert classes <= len(cover) <= 2 * classes
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.lists(st.integers(0, 2**28 - 1), min_size=1, max_size=8))
+    def test_relabel_keeps_the_graph(self, k, raw):
+        # a relabelling is an isomorphism: same degrees, same count
+        masks = [m & ((1 << (k * (k - 1) // 2)) - 1) for m in raw]
+        got = atlas_module._relabel(np.array(masks, dtype=np.int64), k).tolist()
+        assert len(got) == len(masks)
+        for before, after in zip(masks, got):
+            g, h = graph_of_code(k, before), graph_of_code(k, after)
+            assert sorted(map(g.degree, range(k))) == sorted(map(h.degree, range(k)))
+            assert tau(g) == tau(h)
 
     def test_matches_mask_scan(self, mask_scans):
         for n in range(1, 8):
             assert exact_atlas(n).values == mask_scans[n]
 
     def test_kernel_matches_per_graph_tau(self):
+        rng = random.Random(7)
         for n in range(2, 8):
-            codes = atlas_module._classes(n - 1)
-            got = atlas_module._extension_taus(n, np.array(codes, dtype=np.int64))
-            assert got == extension_taus_per_graph(n, codes)
+            cover = atlas_module._classes(n - 1)
+            for codes in (cover, _random_connected(rng, n - 1, 24)):
+                got = atlas_module._extension_taus(n, np.array(codes, dtype=np.int64))
+                assert got == extension_taus_per_graph(n, codes)
 
     def test_kernel_matches_per_graph_tau_at_eight(self):
-        codes = random.Random(8).sample(atlas_module._classes(7), 24)
-        got = atlas_module._extension_taus(8, np.array(codes, dtype=np.int64))
-        assert got == extension_taus_per_graph(8, codes)
+        rng = random.Random(8)
+        for codes in (rng.sample(atlas_module._classes(7), 24), _random_connected(rng, 7, 24)):
+            got = atlas_module._extension_taus(8, np.array(codes, dtype=np.int64))
+            assert got == extension_taus_per_graph(8, codes)
 
     def test_int64_bound_covers_hard_cap(self):
-        # numpy int64 arrays wrap silently: the kernel is exact only while
-        # every update term, below 2 n^(2(n-1)), stays under 2^63
+        # numpy int64 arrays wrap silently: every entry the subset tree holds
+        # is a minor of some L_G + diag(s), s in {0,1}^k, below n^(n-1), so
+        # every update term is below 2 n^(2(n-1)), which must stay under 2^63
         n = atlas_module.HARD_CAP
         assert n <= 10 and 2 * n ** (2 * (n - 1)) < 2**63
+        # the complete graph, whose rows have the largest norms: every extension
+        k = n - 1
+        complete_code = (1 << (k * (k - 1) // 2)) - 1
+        got = atlas_module._extension_taus(n, np.array([complete_code], dtype=np.int64))
+        assert got == extension_taus_per_graph(n, [complete_code])
 
     def test_chunks_match_one_stack(self, small_atlases, monkeypatch, capsys):
-        # one class per chunk: 21 chunks on 5 vertices, each reported once
+        # one cover graph per chunk: 21 chunks on 5 vertices, each reported once
         monkeypatch.setattr(atlas_module, "_CHUNK_ENTRIES", 1)
         assert exact_atlas(6, progress=True).values == small_atlases[6].values
         out, err = capsys.readouterr()
@@ -157,6 +207,8 @@ class TestExactAtlas:
     def test_eight(self):
         record = exact_atlas(8)
         assert record.size == len(record.values) == 3_700
+        digest = hashlib.sha256(",".join(map(str, record.values)).encode()).hexdigest()
+        assert digest == A8_SHA256
         assert (record.values[0], record.values[-1]) == (1, 8**6)
         assert record.graphs_scanned == 1 << 28
 

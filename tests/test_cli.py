@@ -176,6 +176,42 @@ class TestTau:
         assert "length must be >= 3" in run("tau", "--cycle", "-7")[2]
 
 
+class TestBoundedReads:
+    @pytest.mark.parametrize("argv", [
+        "tau --input /dev/zero",
+        "alpha --m 3 --atlas-dir {zero}",
+        "bounds --max-n 3 --atlas-dir {zero}",
+    ])
+    def test_endless_file_refused(self, capped_python, tmp_path, argv):
+        # read in full, /dev/zero would exhaust the capped address space
+        (tmp_path / "atlas_3.json").symlink_to("/dev/zero")
+        proc = capped_python("-m", "spantree", *argv.format(zero=tmp_path).split())
+        path = "/dev/zero" if argv.startswith("tau") else str(tmp_path / "atlas_3.json")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: {path}: larger than ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_input_limit_is_inclusive(self, run, tmp_path, monkeypatch):
+        text = "n 3\n0 1\n1 2\n0 2\n"  # 16 bytes
+        monkeypatch.setattr(cli, "_INPUT_LIMIT", len(text))
+        target = tmp_path / "g.edgelist"
+        target.write_text(text)
+        assert run("tau", "--input", str(target)) == (0, "3\n", "")
+        target.write_text(text + "\n")
+        code, out, err = run("tau", "--input", str(target))
+        assert (code, out, err) == (2, "", f"error: {target}: larger than 16 bytes\n")
+
+    def test_atlas_limit_is_inclusive(self, run, atlas_dir, tmp_path, monkeypatch):
+        text = (atlas_dir / "atlas_3.json").read_bytes()
+        (tmp_path / "atlas_3.json").write_bytes(text)
+        monkeypatch.setattr(spantree.atlas, "_ATLAS_FILE_LIMIT", len(text))
+        assert run("bounds", "--max-n", "3", "--atlas-dir", str(tmp_path))[0] == 0
+        (tmp_path / "atlas_3.json").write_bytes(text + b"\n")
+        code, out, err = run("alpha", "--m", "3", "--atlas-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {tmp_path / 'atlas_3.json'}: larger than {len(text):,} bytes\n"
+
+
 class TestPartitions:
     def test_count(self, run):
         assert run("partitions", "--n", "10", "--class", "oddprime")[:2] == (0, "2\n")
