@@ -50,6 +50,6 @@ for m in (8, 9, 12, 15, 20, 26, 27):
 print()
 print("== the witness construction never invents a count ==")
 for n in (4, 5, 6):
-    report = verify_lower_bound(n, record=atlases[n])
+    report = verify_lower_bound(atlases[n])
     print(f"n = {n}: {report.partition_count} witness counts, all present in "
           f"A_{n} ({report.atlas_size} values): {report.ok}")

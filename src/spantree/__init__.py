@@ -5,123 +5,26 @@ as the number of spanning trees of a connected graph on n vertices, how
 many such integers a partition-based construction guarantees, and how the
 guaranteed count grows.  Everything exact runs in arbitrary-precision
 integers; growth formulas live in log-space.
+
+Each module's ``__all__`` is its public surface; the package re-exports
+all of them, so a public name is listed in one place.
 """
 
-from .asymptotics import (
-    Estimate,
-    Formula,
-    LhospitalReport,
-    check_lhospital,
-    cumulative_lower_bound,
-    hardy_ramanujan,
-    integral_target,
-    prime_main_term,
-    scaled_central_derivative,
-)
-from .atlas import (
-    AlphaRecord,
-    AtlasRecord,
-    LowerBoundReport,
-    alpha_exact,
-    atlas_filename,
-    azarija_skrekovski_bound,
-    exact_atlas,
-    load_atlas,
-    load_atlas_dir,
-    save_atlas,
-    sedlacek_bound,
-    verify_lower_bound,
-)
-from .graphs import (
-    EdgeListError,
-    Graph,
-    complete,
-    contract_edge,
-    cycle,
-    delete_edge,
-    format_edge_list,
-    identify,
-    is_connected,
-    parse_edge_list,
-    path,
-)
-from .partitions import (
-    PartClass,
-    Partition,
-    allowed_parts,
-    count_partitions,
-    count_partitions_up_to,
-    enumerate_partitions,
-    p_set_enumerate,
-    p_set_size,
-    primes_up_to,
-    product_of_parts,
-)
-from .spanning import det_fraction_free, laplacian, tau, tau_bruteforce
-from .witness import (
-    DistinctnessReport,
-    Witness,
-    build_witness,
-    certify_distinct,
-    flower,
-    sidecar_json,
-    witness_family,
-)
+from . import asymptotics, atlas, graphs, partitions, spanning, witness
+from .asymptotics import *  # noqa: F403
+from .atlas import *  # noqa: F403
+from .graphs import *  # noqa: F403
+from .partitions import *  # noqa: F403
+from .spanning import *  # noqa: F403
+from .witness import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Estimate",
-    "Formula",
-    "LhospitalReport",
-    "check_lhospital",
-    "cumulative_lower_bound",
-    "hardy_ramanujan",
-    "integral_target",
-    "prime_main_term",
-    "scaled_central_derivative",
-    "AlphaRecord",
-    "AtlasRecord",
-    "LowerBoundReport",
-    "alpha_exact",
-    "atlas_filename",
-    "azarija_skrekovski_bound",
-    "exact_atlas",
-    "load_atlas",
-    "load_atlas_dir",
-    "save_atlas",
-    "sedlacek_bound",
-    "verify_lower_bound",
-    "EdgeListError",
-    "Graph",
-    "complete",
-    "contract_edge",
-    "cycle",
-    "delete_edge",
-    "format_edge_list",
-    "identify",
-    "is_connected",
-    "parse_edge_list",
-    "path",
-    "PartClass",
-    "Partition",
-    "allowed_parts",
-    "count_partitions",
-    "count_partitions_up_to",
-    "enumerate_partitions",
-    "p_set_enumerate",
-    "p_set_size",
-    "primes_up_to",
-    "product_of_parts",
-    "det_fraction_free",
-    "laplacian",
-    "tau",
-    "tau_bruteforce",
-    "DistinctnessReport",
-    "Witness",
-    "build_witness",
-    "certify_distinct",
-    "flower",
-    "sidecar_json",
-    "witness_family",
+    *asymptotics.__all__,
+    *atlas.__all__,
+    *graphs.__all__,
+    *partitions.__all__,
+    *spanning.__all__,
+    *witness.__all__,
 ]

@@ -98,17 +98,20 @@ class AtlasRecord:
 class AlphaRecord:
     """Least vertex count realizing a given spanning-tree count.
 
-    With status "exact", ``alpha`` is the answer.  With status
-    "lower-bound-only" the contiguous atlas prefix ran out first and
-    ``alpha`` is the least vertex count not yet excluded.
-    ``searched_up_to`` is the length of that prefix: atlases for
-    1..searched_up_to were all present.
+    ``searched_up_to`` is the length of the contiguous atlas prefix:
+    atlases for 1..searched_up_to were all present.  An ``alpha`` inside
+    it is the answer (status "exact"); past it (status "lower-bound-only")
+    the prefix ran out first and ``alpha`` is the least vertex count not
+    yet excluded.
     """
 
     m: int
     alpha: int
-    status: str
     searched_up_to: int
+
+    @property
+    def status(self) -> str:
+        return "exact" if self.alpha <= self.searched_up_to else "lower-bound-only"
 
 
 @dataclass(frozen=True)
@@ -245,8 +248,8 @@ def alpha_exact(m: int, atlas_cache: Mapping[int, AtlasRecord]) -> AlphaRecord:
         prefix += 1
     for j in range(1, prefix + 1):
         if m in atlas_cache[j].values:
-            return AlphaRecord(m=m, alpha=j, status="exact", searched_up_to=prefix)
-    return AlphaRecord(m=m, alpha=prefix + 1, status="lower-bound-only", searched_up_to=prefix)
+            return AlphaRecord(m=m, alpha=j, searched_up_to=prefix)
+    return AlphaRecord(m=m, alpha=prefix + 1, searched_up_to=prefix)
 
 
 def sedlacek_bound(m: int) -> int | None:
@@ -273,22 +276,18 @@ def azarija_skrekovski_bound(m: int) -> int | None:
     return (m + 9) // 4
 
 
-def verify_lower_bound(n: int, *, record: AtlasRecord | None = None) -> LowerBoundReport:
-    """Check the witness construction against the exhaustive atlas at n.
+def verify_lower_bound(record: AtlasRecord) -> LowerBoundReport:
+    """Check the witness construction against the exhaustive atlas ``record``.
 
     Asserts nothing itself; the report carries whether the atlas has at
-    least as many values as there are witnesses, and whether every witness
-    count actually appears in the atlas.
+    least as many values as there are witnesses on ``record.n`` vertices,
+    and whether every witness count actually appears in the atlas.
     """
-    if record is None:
-        record = exact_atlas(n)
-    elif record.n != n:
-        raise ValueError(f"record is for n={record.n}, not n={n}")
-    taus = [w.tau_value for w in witness_family(n)]
+    taus = [w.tau_value for w in witness_family(record.n)]
     present = set(record.values)
     missing = tuple(sorted(t for t in set(taus) if t not in present))
     return LowerBoundReport(
-        n=n,
+        n=record.n,
         partition_count=len(taus),
         atlas_size=record.size,
         missing=missing,

@@ -193,19 +193,16 @@ def _cmd_witness(args: argparse.Namespace) -> _Output:
     if args.n < 3:
         raise ValueError("--n must be >= 3")
     _check_family_size(args.n, p_set_size)
-    ws = list(witness_family(args.n))
-    if args.emit is not None:
-        out = Path(args.emit)
+    out = None if args.emit is None else Path(args.emit)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        for idx, w in enumerate(ws):
-            stem = f"witness_{args.n}_{idx}"
-            (out / f"{stem}.edgelist").write_text(
-                format_edge_list(w.graph), encoding="utf-8"
-            )
-            (out / f"{stem}.json").write_text(sidecar_json(w), encoding="utf-8")
     rows = []
     witnesses = []
-    for w in ws:
+    for idx, w in enumerate(witness_family(args.n)):
+        if out is not None:
+            stem = f"witness_{args.n}_{idx}"
+            (out / f"{stem}.edgelist").write_text(format_edge_list(w.graph), encoding="utf-8")
+            (out / f"{stem}.json").write_text(sidecar_json(w), encoding="utf-8")
         count, vertices, edges = str(w.tau_value), w.graph.n_vertices, w.graph.n_edges
         rows.append([str(w.partition), count, str(vertices), str(edges)])
         witnesses.append(

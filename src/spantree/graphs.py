@@ -22,9 +22,24 @@ unaffected (the tests compare both paths).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+
+__all__ = [
+    "Graph",
+    "EdgeListError",
+    "cycle",
+    "path",
+    "complete",
+    "identify",
+    "is_connected",
+    "delete_edge",
+    "contract_edge",
+    "format_edge_list",
+    "parse_edge_list",
+]
 
 
 class EdgeListError(ValueError):
@@ -252,9 +267,12 @@ def format_edge_list(g: Graph) -> str:
 
 def read_text_bounded(path: str | Path, limit: int) -> str:
     """The UTF-8 text of a file, read only up to one byte past ``limit``: a
-    larger (or endless) file raises ValueError naming the path."""
+    larger (or endless) file raises ValueError naming the path.  The file
+    is opened without blocking, so a FIFO with no writer reads as empty
+    instead of waiting for one."""
     data = bytearray()
-    with open(path, "rb") as handle:
+    with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as handle:
+        os.set_blocking(handle.fileno(), True)
         # in blocks, as read(limit + 1) would allocate limit + 1 bytes every call;
         # the last block ends at limit + 1 bytes, after which read(0) is empty
         while block := handle.read(min(1 << 16, limit + 1 - len(data))):

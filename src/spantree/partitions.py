@@ -19,6 +19,19 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+__all__ = [
+    "PartClass",
+    "Partition",
+    "primes_up_to",
+    "allowed_parts",
+    "count_partitions_up_to",
+    "count_partitions",
+    "enumerate_partitions",
+    "p_set_size",
+    "p_set_enumerate",
+    "product_of_parts",
+]
+
 
 class PartClass(Enum):
     """Which integers are allowed as parts."""

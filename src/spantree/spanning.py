@@ -53,6 +53,8 @@ import numpy as np
 from .graphs import Graph
 from .partitions import _primes_in
 
+__all__ = ["laplacian", "det_fraction_free", "tau", "tau_bruteforce"]
+
 # Square matrix of exact integers, row-major.
 IntMatrix = list[list[int]]
 

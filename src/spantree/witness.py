@@ -60,8 +60,11 @@ class DistinctnessReport:
     per repeated value, indices referring to input order.
     """
 
-    ok: bool
     collisions: tuple[tuple[int, int, int], ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.collisions
 
     def __bool__(self) -> bool:
         return self.ok
@@ -161,7 +164,7 @@ def certify_distinct(witnesses: Iterable[Witness]) -> DistinctnessReport:
             collisions.append((w.tau_value, seen[w.tau_value], idx))
         else:
             seen[w.tau_value] = idx
-    return DistinctnessReport(ok=not collisions, collisions=tuple(collisions))
+    return DistinctnessReport(collisions=tuple(collisions))
 
 
 def sidecar_json(w: Witness) -> str:

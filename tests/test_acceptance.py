@@ -104,7 +104,7 @@ def test_criterion_05_atlas_ground_truth(atlases):
 
 def test_criterion_06_atlas_dominates_witnesses(atlases):
     for n in range(1, 8):
-        report = verify_lower_bound(n, record=atlases[n])
+        report = verify_lower_bound(atlases[n])
         assert report.size_ok, f"n={n}: {report.atlas_size} < {report.partition_count}"
         assert report.covered, f"n={n}: missing {report.missing}"
     print("criterion 06: |A_n| >= |P_n| and witness counts all in A_n, n <= 7")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import spantree.atlas as atlas_module
 from spantree import (
+    AlphaRecord,
     AtlasRecord,
     Graph,
     alpha_exact,
@@ -19,6 +20,7 @@ from spantree import (
     is_connected,
     load_atlas,
     load_atlas_dir,
+    p_set_size,
     save_atlas,
     sedlacek_bound,
     tau,
@@ -255,6 +257,12 @@ class TestAlpha:
         with pytest.raises(ValueError):
             alpha_exact(0, {})
 
+    def test_status_is_derived(self):
+        assert AlphaRecord(m=9, alpha=5, searched_up_to=5).status == "exact"
+        assert AlphaRecord(m=2, alpha=7, searched_up_to=6).status == "lower-bound-only"
+        with pytest.raises(TypeError):
+            AlphaRecord(m=9, alpha=5, status="exact", searched_up_to=5)
+
 
 class TestBounds:
     def test_sedlacek_table(self):
@@ -282,21 +290,24 @@ class TestBounds:
 
 
 class TestLowerBound:
-    def test_small_reports_ok(self, small_atlases):
-        for n in range(2, 7):
-            report = verify_lower_bound(n, record=small_atlases[n])
+    def test_small_reports_ok(self):
+        for n in range(3, 8):
+            record = exact_atlas(n)
+            report = verify_lower_bound(record)
             assert report.ok
             assert report.size_ok and report.covered
+            assert report.n == n
+            assert (report.atlas_size, report.partition_count) == (record.size, p_set_size(n))
             assert report.atlas_size >= report.partition_count
 
-    def test_record_mismatch(self, small_atlases):
-        with pytest.raises(ValueError):
-            verify_lower_bound(4, record=small_atlases[5])
+    def test_takes_only_the_record(self, small_atlases):
+        with pytest.raises(TypeError):
+            verify_lower_bound(4, record=small_atlases[4])
 
     def test_missing_values_detected(self):
         fake = AtlasRecord(n=5, values=(1, 4), elapsed=0.0)
         assert (fake.size, fake.graphs_scanned) == (2, 1024)
-        report = verify_lower_bound(5, record=fake)
+        report = verify_lower_bound(fake)
         assert not report.ok
         assert report.missing == (3, 5)
 

@@ -212,6 +212,27 @@ class TestBoundedReads:
         assert err == f"error: {tmp_path / 'atlas_3.json'}: larger than {len(text):,} bytes\n"
 
 
+class TestFifoReads:
+    @pytest.mark.parametrize("argv", [
+        "tau --input {fifo}/F",
+        "alpha --m 3 --atlas-dir {fifo}",
+        "bounds --max-n 3 --atlas-dir {fifo}",
+    ])
+    def test_fifo_without_writer_reads_empty(self, tmp_path, argv):
+        # a blocking open() would wait for a writer forever; the timeout fails the test
+        os.mkfifo(tmp_path / "F")
+        os.mkfifo(tmp_path / "atlas_3.json")
+        src = str(Path(spantree.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "spantree", *argv.format(fifo=tmp_path).split()],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=5,
+        )
+        path = tmp_path / ("F" if argv.startswith("tau") else "atlas_3.json")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: {path}: ")
+        assert proc.stderr.count("\n") == 1
+
+
 class TestPartitions:
     def test_count(self, run):
         assert run("partitions", "--n", "10", "--class", "oddprime")[:2] == (0, "2\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantree import (
+    DistinctnessReport,
     Graph,
     Partition,
     build_witness,
@@ -192,6 +193,13 @@ class TestCertifyDistinct:
 
     def test_empty_collection(self):
         assert certify_distinct([]).ok
+
+    def test_ok_is_derived(self):
+        assert DistinctnessReport(collisions=()).ok
+        report = DistinctnessReport(collisions=((3, 0, 1),))
+        assert not report.ok and not report
+        with pytest.raises(TypeError):
+            DistinctnessReport(ok=True, collisions=())
 
 
 def test_sidecar_round_trip():
