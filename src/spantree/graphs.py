@@ -291,15 +291,14 @@ def parse_edge_list(text: str) -> Graph:
     line number.
     """
     n_vertices: int | None = None
-    merged: dict[tuple[int, int], int] = {}
+    merged: dict[int, int] = {}  # keyed by u * n_vertices + v, u < v
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         if n_vertices is None:
             if len(tokens) != 2 or tokens[0] != "n":
-                raise EdgeListError(line_no, f"expected 'n <vertex_count>', got {line!r}")
+                raise EdgeListError(line_no, f"expected 'n <vertex_count>', got {raw.strip()!r}")
             try:
                 n_vertices = int(tokens[1])
             except ValueError:
@@ -307,21 +306,23 @@ def parse_edge_list(text: str) -> Graph:
             if n_vertices < 0:
                 raise EdgeListError(line_no, "vertex count must be nonnegative")
             continue
-        if len(tokens) not in (2, 3):
-            raise EdgeListError(line_no, f"expected 'u v [multiplicity]', got {line!r}")
+        if len(tokens) == 2:
+            tokens.append("1")
+        elif len(tokens) != 3:
+            raise EdgeListError(line_no, f"expected 'u v [multiplicity]', got {raw.strip()!r}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
-            m = int(tokens[2]) if len(tokens) == 3 else 1
+            u, v, m = map(int, tokens)
         except ValueError:
-            raise EdgeListError(line_no, f"non-integer token in {line!r}") from None
+            raise EdgeListError(line_no, f"non-integer token in {raw.strip()!r}") from None
         if u == v:
             raise EdgeListError(line_no, f"self-loop at vertex {u}")
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise EdgeListError(line_no, f"edge ({u}, {v}) outside vertex range")
         if m < 1:
             raise EdgeListError(line_no, f"multiplicity {m} must be >= 1")
-        key = (u, v) if u < v else (v, u)
+        key = u * n_vertices + v if u < v else v * n_vertices + u
         merged[key] = merged.get(key, 0) + m
     if n_vertices is None:
         raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")
-    return Graph._from_canonical(n_vertices, _canonical(merged))
+    edges = tuple((key // n_vertices, key % n_vertices, merged[key]) for key in sorted(merged))
+    return Graph._from_canonical(n_vertices, edges)

@@ -16,7 +16,8 @@ row keeps the step of its last update and is rescaled when next touched;
 the rescale divides exactly because every entry of the active block is a
 minor of the integer matrix.  Once the next pivot row is dense, `_finish`
 takes the active block: below _MODULAR_ROWS rows to the list-of-lists loop
-of `det_fraction_free`, from there on to the multimodular determinant.
+of `det_fraction_free`, from there on to `_det_mod`: left-looking LDL^T
+elimination, without row swaps, of its residues modulo a batch of primes.
 
 Why the multimodular finish is exact.  Let B be the k x k active block left
 after pivots p_1..p_t, and prev = p_t (1 when nothing was eliminated).  B /
@@ -29,15 +30,23 @@ prime p that does not divide prev, τ = det(B) * prev^-(k-1) mod p, and the
 residues for primes whose product exceeds the bound fix τ by the Chinese
 remainder theorem.
 
+Without row swaps a pivot can vanish modulo p.  Pivot c is M_(c+1) / M_c
+modulo p, where M_j is the leading principal minor of B of order j.  If its
+column vanishes too, the trailing Schur complement has a zero row modulo
+p, so det(B) ≡ 0.  Otherwise the prime is unlucky and skipped.  It divides
+M_(c+1), which is nonzero: were it 0, the rational Schur complement would
+be positive semidefinite with a zero diagonal entry, so its column, and
+that column modulo p, would vanish.  So only the finitely many prime
+factors of B's nonzero leading minors are skipped, and further primes fix
+τ; if the primes below 2^26 run out first, `_bareiss` finishes the block.
+
 Why int64 does not overflow.  Entries of B beyond int64 (large
 multiplicities, or minors after a long sparse stage) are reduced modulo
 each prime as Python ints first, so every working entry starts in [0, p)
-with p < 2^26.  A step reduces the pivot column and the pivot row, scales
-the row by the pivot's inverse and reduces it again, and subtracts from
-each trailing entry the product of one entry of each.  Every product is of
-two residues, so below 2^52.  The whole trailing block is reduced every
-_REDUCE_EVERY = 2^10 steps, so an entry stays in (-2^62, 2^26) whatever
-the size of the block.
+with p < 2^26, and each stored entry is reduced again.  A column update
+subtracts from residues sums of at most _REDUCE_EVERY = 2^10 products of
+two residues, each below 2^52, and reduces the result before the next
+such sum.  So every intermediate value lies in (-2^62, 2^26).
 """
 
 from __future__ import annotations
@@ -62,7 +71,9 @@ IntMatrix = list[list[int]]
 # nonzero in at least 1/_DENSE_SHARE of the active columns
 _DENSE_SHARE = 4
 # dense blocks with fewer rows are finished by `_bareiss`, larger ones
-# modulo primes (the measured crossover of the two)
+# modulo primes.  They cross near 20 rows: on K_(k+1) and 5 multigraphs
+# (edge probability 0.8, multiplicities 1-3) per k, `_bareiss` took 0.81x
+# the modular time at k = 18, 1.09x at 20, 1.60x at 24 and 2.57x at 32
 _MODULAR_ROWS = 24
 # the primes lie below 2^_PRIME_BITS, so a product of two residues is < 2^52
 _PRIME_BITS = 26
@@ -70,8 +81,8 @@ _PRIME_BITS = 26
 _PRIME_WINDOW = 1 << 14
 # int64 entries per working array of the multimodular finish
 _CHUNK_ENTRIES = 1 << 16
-# steps between reductions of the whole trailing block; below 2^11 each
-# entry stays inside int64 (see the module docstring)
+# products summed between reductions of a column; below 2^11 each sum
+# stays inside int64 (see the module docstring)
 _REDUCE_EVERY = 1 << 10
 
 
@@ -141,88 +152,73 @@ def _finish(block: IntMatrix, prev: int) -> int:
     ``block`` and ``prev`` are as for `_bareiss`.  Blocks of fewer than
     _MODULAR_ROWS rows go to `_bareiss`.  Larger ones go to `_det_mod`,
     in chunks of at most _CHUNK_ENTRIES int64 entries, modulo primes that
-    do not divide ``prev`` until their product exceeds the Hadamard bound
-    on τ; the residues of τ are then combined by the Chinese remainder
-    theorem (the argument is in the module docstring).
+    do not divide ``prev``.  Each chunk takes only as many primes as the
+    Hadamard bound on τ still needs; a prime `_det_mod` finds unlucky is
+    dropped and the next chunk draws further primes, until the primes
+    combined exceed the bound.  The residues of τ are then combined by the
+    Chinese remainder theorem (the argument is in the module docstring).
     """
     k = len(block)
     if k < _MODULAR_ROWS:
         return _bareiss(block, prev)
     bound = prod(block[i][i] for i in range(k)) // prev ** (k - 1)
-    primes: list[int] = []
-    cover = 1
-    for p in _primes():
-        if prev % p:
-            primes.append(p)
-            cover *= p
-            if cover > bound:
-                break
-    else:  # the bound outgrows every prime below 2^26, about 2^(9.7 * 10^7)
-        return _bareiss(block, prev)
     try:
         mat = np.array(block, dtype=np.int64)
     except OverflowError:  # entries beyond int64 are reduced as Python ints
         mat = np.array(block, dtype=object)
     per_chunk = max(1, _CHUNK_ENTRIES // (k * k))
-    work = np.empty((min(per_chunk, len(primes)), k, k), dtype=np.int64)
-    scratch = np.empty(work.size, dtype=np.int64)
+    supply = (p for p in _primes() if prev % p)
     value, modulus = 0, 1
-    for start in range(0, len(primes), per_chunk):
-        chunk = primes[start : start + per_chunk]
-        a = work[: len(chunk)]
-        for a_p, p in zip(a, chunk):
-            a_p[...] = mat % p
-        for p, d in zip(chunk, _det_mod(a, chunk, scratch)):
-            r = d * pow(prev, 1 - k, p)  # τ mod p, up to a multiple of p
-            value += modulus * ((r - value) * pow(modulus, -1, p) % p)
-            modulus *= p
+    while modulus <= bound:
+        chunk, cover = [], modulus
+        for p in supply:
+            chunk.append(p)
+            cover *= p
+            if cover > bound or len(chunk) == per_chunk:
+                break
+        if not chunk:  # the bound outgrows every prime below 2^26, about 2^(9.7 * 10^7)
+            return _bareiss(block, prev)
+        a = (mat % np.array(chunk, dtype=np.int64)[:, None, None]).astype(np.int64, copy=False)
+        for p, d in zip(chunk, _det_mod(a, chunk)):
+            if d is not None:
+                r = d * pow(prev, 1 - k, p)  # τ mod p, up to a multiple of p
+                value += modulus * ((r - value) * pow(modulus, -1, p) % p)
+                modulus *= p
     return value
 
 
-def _det_mod(a: np.ndarray, primes: list[int], scratch: np.ndarray) -> list[int]:
+def _det_mod(a: np.ndarray, primes: list[int]) -> list[int | None]:
     """Determinant of ``a[i]`` modulo ``primes[i]``, eliminating ``a`` in place.
 
-    ``a`` holds residues in [0, p) on entry.  Each step reduces the pivot
-    column and picks, for each prime alone, the first row at or below the
-    diagonal that is nonzero there, so a pivot that vanishes modulo one
-    prime is swapped away for that prime only; with no such row the residue
-    is 0.  It then reduces the pivot row, scales it by the pivot's inverse
-    and subtracts the outer product of column and row from the trailing
-    block (the overflow argument is in the module docstring).  ``scratch``
-    holds at least ``a.size`` entries and receives the outer products, so
-    nothing of size k^2 is allocated per step.
+    ``a`` holds symmetric matrices of residues in [0, p).  Column c is
+    brought up to date by one batched product of the multipliers left of
+    its diagonal with the unscaled earlier columns stored above it, reduced
+    after every _REDUCE_EVERY products (see the module docstring), then
+    stored unscaled in row c and scaled by the pivot's inverse in column c.
+    No rows are swapped: a zero pivot over a zero column gives residue 0,
+    over a nonzero one it makes the prime unlucky, with result None.
     """
     n_p, k, _ = a.shape
-    mods = np.array(primes, dtype=np.int64)
-    col_mods = mods[:, None]
-    det = [1] * n_p
+    mods = np.array(primes, dtype=np.int64)[:, None]
+    det: list[int | None] = [1] * n_p
     for c in range(k):
-        if c and c % _REDUCE_EVERY == 0:
-            trailing = a[:, c:, c:]
-            np.remainder(trailing, mods[:, None, None], out=trailing)
         col = a[:, c:, c]
-        np.remainder(col, col_mods, out=col)
-        if not col[:, 0].all():
-            below = c + (col != 0).argmax(axis=1)  # c where the column is all zero
-            for i in np.flatnonzero(below != c).tolist():
-                r = below[i]
-                a[i, [c, r], c:] = a[i, [r, c], c:]
-                det[i] = -det[i]
+        for t in range(0, c, _REDUCE_EVERY):
+            e = min(t + _REDUCE_EVERY, c)
+            col -= np.matmul(a[:, c:, t:e], a[:, t:e, c, None])[..., 0]
+            np.remainder(col, mods, out=col)
         pivots = col[:, 0].tolist()
-        det = [d * x % p for d, x, p in zip(det, pivots, primes)]
-        m = k - 1 - c
-        if not m:
+        if 0 in pivots:
+            nonzero = col.any(axis=1).tolist()
+            det = [None if d and nz and not x else d for d, x, nz in zip(det, pivots, nonzero)]
+        det = [d * x % p if d else d for d, x, p in zip(det, pivots, primes)]
+        if c == k - 1:
             break
-        inv = [pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)]
-        inv = np.array(inv, dtype=np.int64)
-        row = a[:, c, c + 1 :]
-        np.remainder(row, col_mods, out=row)
-        np.multiply(row, inv[:, None], out=row)
-        np.remainder(row, col_mods, out=row)
-        outer = scratch[: n_p * m * m].reshape(n_p, m, m)
-        np.multiply(col[:, 1:, None], row[:, None, :], out=outer)
-        trailing = a[:, c + 1 :, c + 1 :]
-        np.subtract(trailing, outer, out=trailing)
+        below = col[:, 1:]
+        a[:, c, c + 1 :] = below
+        inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)])
+        np.multiply(below, inv[:, None], out=below)
+        np.remainder(below, mods, out=below)
     return det
 
 

@@ -331,40 +331,61 @@ class TestModularFinish:
         assert tau(g) == dense_tau(g) == 0
 
     def test_pivot_zero_modulo_first_prime(self, monkeypatch):
-        """Vertex 1's degree is the first prime: the first pivot vanishes there only."""
+        """Vertex 1's degree is the first prime, which is unlucky: the
+        first pivot vanishes modulo it over a nonzero column."""
         first = next(spanning._primes())
         g = Graph(30, complete(30).edges + ((1, 2, first - 29),))
-        assert laplacian(g)[1][1] == first
-        vanishing = []
+        block = principal_minor(laplacian(g), 0)
+        assert block[0][0] == first
+        results = []
 
-        def spy(a, primes, scratch):
-            vanishing.extend(p for a_p, p in zip(a, primes) if a_p[0, 0] % p == 0)
-            return det_mod(a, primes, scratch)
+        def spy(a, primes):
+            dets = det_mod(a, primes)
+            results.extend(zip(primes, dets))
+            return dets
 
         det_mod = spanning._det_mod
         monkeypatch.setattr(spanning, "_det_mod", spy)
         assert tau(g) == dense_tau(g)
-        assert vanishing == [first]
+        assert results[0] == (first, None)
+        combined = [p for p, d in results if d is not None]
+        assert first not in combined
+        assert prod(combined) > prod(block[i][i] for i in range(len(block)))
 
     def test_det_mod_pivots_per_prime(self):
-        """Zero pivots and zero columns modulo one prime but not the others."""
+        """Zero pivots and zero columns modulo one prime but not the others.
+
+        A residue is the determinant's, or None where the prime divides a
+        leading principal minor of lower order.
+        """
         rng = random.Random(37)
         primes = [7, 11, 13]
+        entries = (0, 0, 7, 11, 13, 77, 1, -1)
+        unlucky = zeros = 0
         for _ in range(200):
             k = rng.randint(1, 7)
-            entries = (0, 0, 7, 11, 13, 77, 1, -1)
-            mat = [[rng.choice(entries) for _ in range(k)] for _ in range(k)]
+            mat = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i, k):
+                    mat[i][j] = mat[j][i] = rng.choice(entries)
             a = np.array([[[x % p for x in row] for row in mat] for p in primes])
-            scratch = np.empty(a.size, dtype=np.int64)
             det = det_fraction_free(mat)
-            assert spanning._det_mod(a, primes, scratch) == [det % p for p in primes]
+            minors = [det_fraction_free([row[:j] for row in mat[:j]]) for j in range(1, k)]
+            for p, d in zip(primes, spanning._det_mod(a, primes)):
+                if d is None:
+                    assert any(m % p == 0 for m in minors)
+                    unlucky += 1
+                else:
+                    assert d == det % p
+                    zeros += d == 0
+        assert unlucky and zeros
 
     def test_prime_chunks(self, monkeypatch):
         shapes = []
 
-        def spy(a, primes, scratch):
+        def spy(a, primes):
             shapes.append(a.shape)
-            return det_mod(a, primes, scratch)
+            return det_mod(a, primes)
 
         det_mod = spanning._det_mod
         monkeypatch.setattr(spanning, "_det_mod", spy)
@@ -372,6 +393,17 @@ class TestModularFinish:
         assert tau(g) == dense_tau(g)
         assert len(shapes) > 1
         assert all(np.prod(shape) <= spanning._CHUNK_ENTRIES for shape in shapes)
+
+    def test_int64_bound(self):
+        """A residue less a sum of _REDUCE_EVERY products of residues fits int64."""
+        top = 2**spanning._PRIME_BITS
+        assert spanning._REDUCE_EVERY * (top - 1) ** 2 + top < 2**63
+
+    def test_large_complete_graphs(self):
+        assert tau(complete(150)) == 150**148
+        n, m = 120, 3
+        g = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
+        assert tau(g) == m ** (n - 1) * n ** (n - 2)
 
     def test_periodic_reduction(self, monkeypatch):
         monkeypatch.setattr(spanning, "_REDUCE_EVERY", 3)

@@ -198,6 +198,29 @@ class TestEdgeListFormat:
             parse_edge_list(text)
         assert exc_info.value.line_no == line_no
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("# c\n  x 3 \n", "line 2: expected 'n <vertex_count>', got 'x 3'"),
+            ("n three\n", "line 1: bad vertex count 'three'"),
+            ("n -1\n", "line 1: vertex count must be nonnegative"),
+            ("n 3\n 0 1 1 1 \n", "line 2: expected 'u v [multiplicity]', got '0 1 1 1'"),
+            ("n 3\n0 x\n", "line 2: non-integer token in '0 x'"),
+            ("n 3\n\t0 #1\n", "line 2: non-integer token in '0 #1'"),
+            ("n 3\n0 1 2.5\n", "line 2: non-integer token in '0 1 2.5'"),
+            ("n 3\n  1 1  \n", "line 2: self-loop at vertex 1"),
+            ("n 3\n0 3\n", "line 2: edge (0, 3) outside vertex range"),
+            ("n 3\n-1 2\n", "line 2: edge (-1, 2) outside vertex range"),
+            ("n 3\n0 1 0\n", "line 2: multiplicity 0 must be >= 1"),
+            ("", "line 1: empty input: missing 'n <vertex_count>' line"),
+            ("# only\n\n", "line 1: empty input: missing 'n <vertex_count>' line"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(EdgeListError) as exc_info:
+            parse_edge_list(text)
+        assert str(exc_info.value) == message
+
 
 class TestTrustedConstruction:
     """Builders that skip validation produce what validation would produce.
