@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 __all__ = [
-    "Formula",
     "Estimate",
     "LhospitalReport",
     "hardy_ramanujan",
@@ -41,23 +39,15 @@ _MAIN_COEFF = 2.0 * math.pi / math.sqrt(3.0)
 N_MAX = 10**300
 
 
-class Formula(Enum):
-    HARDY_RAMANUJAN = "hardy-ramanujan"
-    PRIME_PARTITION_MAIN_TERM = "prime-partition-main-term"
-    CUMULATIVE_LOWER_BOUND = "cumulative-lower-bound"
-    INTEGRAL_TARGET = "integral-target"
-
-
 @dataclass(frozen=True)
 class Estimate:
     """One formula evaluated at one n; ``log_value`` is the natural log.
 
     ``value`` is the linear-scale number, or None when exp overflows a
     double (the overflow marker; log-space stays finite far beyond that).
+    Which formula and which n are the caller's to keep.
     """
 
-    formula: Formula
-    n: int
     log_value: float
 
     @property
@@ -84,18 +74,21 @@ def _log_target(x: float) -> float:
     return math.log(math.sqrt(3.0) / math.pi) + 0.5 * math.log(x * math.log(x)) + _log_f(x)
 
 
+def _estimate(log_fn: Callable[[float], float], n: int, lo: int) -> Estimate:
+    """``log_fn`` at n, refusing n outside lo..N_MAX."""
+    if not lo <= n <= N_MAX:
+        raise ValueError(f"n must be >= {lo} and <= 10^300")
+    return Estimate(log_fn(n))
+
+
 def hardy_ramanujan(n: int) -> Estimate:
     """Partition-count asymptotic exp(pi sqrt(2n/3)) / (4 n sqrt(3))."""
-    if not 1 <= n <= N_MAX:
-        raise ValueError("n must be >= 1 and <= 10^300")
-    return Estimate(Formula.HARDY_RAMANUJAN, n, _log_hr(n))
+    return _estimate(_log_hr, n, 1)
 
 
 def prime_main_term(n: int) -> Estimate:
     """Main term f(n) for partitions into primes; needs ln n > 0, so n >= 2."""
-    if not 2 <= n <= N_MAX:
-        raise ValueError("n must be >= 2 and <= 10^300")
-    return Estimate(Formula.PRIME_PARTITION_MAIN_TERM, n, _log_f(n))
+    return _estimate(_log_f, n, 2)
 
 
 def cumulative_lower_bound(n: int) -> Estimate:
@@ -105,16 +98,12 @@ def cumulative_lower_bound(n: int) -> Estimate:
     finite comparison against the exact count is asserted anywhere; tables
     put the two side by side and leave the judgment to the reader.
     """
-    if not 2 <= n <= N_MAX:
-        raise ValueError("n must be >= 2 and <= 10^300")
-    return Estimate(Formula.CUMULATIVE_LOWER_BOUND, n, _log_cumulative(n))
+    return _estimate(_log_cumulative, n, 2)
 
 
 def integral_target(n: int) -> Estimate:
     """Closed form (sqrt(3)/pi) sqrt(n ln n) f(n) for the integral of f."""
-    if not 2 <= n <= N_MAX:
-        raise ValueError("n must be >= 2 and <= 10^300")
-    return Estimate(Formula.INTEGRAL_TARGET, n, _log_target(n))
+    return _estimate(_log_target, n, 2)
 
 
 def scaled_central_derivative(

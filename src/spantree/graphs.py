@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Iterable
 
 __all__ = [
     "Graph",
@@ -191,13 +192,19 @@ def identify(g: Graph, u: int, h: Graph, v: int) -> Graph:
 def is_connected(g: Graph) -> bool:
     """Whether every vertex pair is joined by a path.
 
-    Union-find over the edges with path halving, stopping as soon as one
-    component is left.  The empty graph (0 vertices) counts as connected by
-    convention.
+    The empty graph (0 vertices) counts as connected by convention.
     """
-    parent = list(range(g.n_vertices))
-    components = g.n_vertices
-    for u, v, _ in g.edges:
+    return _connects(g.n_vertices, ((u, v) for u, v, _ in g.edges))
+
+
+def _connects(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the vertex pairs join all of 0..n-1 into at most one component.
+
+    Union-find with path halving, stopping as soon as one component is left.
+    """
+    parent = list(range(n))
+    components = n
+    for u, v in pairs:
         if components == 1:
             break
         while parent[u] != u:

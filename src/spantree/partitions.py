@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "enumerate_partitions",
     "p_set_size",
     "p_set_enumerate",
-    "product_of_parts",
 ]
 
 
@@ -213,11 +212,3 @@ def p_set_enumerate(n: int) -> Iterator[Partition]:
     pool = allowed_parts(n, PartClass.ODD_PRIME)
     for s in range(3, n + 1):
         yield from _enumerate(s, pool)
-
-
-def product_of_parts(parts: Sequence[int]) -> int:
-    """Exact product of the parts (1 for the empty sequence)."""
-    out = 1
-    for p in parts:
-        out *= p
-    return out

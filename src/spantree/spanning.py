@@ -59,7 +59,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _connects
 from .partitions import _primes_in
 
 __all__ = ["laplacian", "det_fraction_free", "tau", "tau_bruteforce"]
@@ -71,10 +71,12 @@ IntMatrix = list[list[int]]
 # nonzero in at least 1/_DENSE_SHARE of the active columns
 _DENSE_SHARE = 4
 # dense blocks with fewer rows are finished by `_bareiss`, larger ones
-# modulo primes.  They cross near 20 rows: on K_(k+1) and 5 multigraphs
-# (edge probability 0.8, multiplicities 1-3) per k, `_bareiss` took 0.81x
-# the modular time at k = 18, 1.09x at 20, 1.60x at 24 and 2.57x at 32
-_MODULAR_ROWS = 24
+# modulo primes.  They cross at 20 rows: on K_(k+1) and 5 multigraphs
+# (edge probability 0.8, multiplicities 1-3) per k, seeds 1-3, `_bareiss`
+# took 0.81-0.83x the modular time at k = 18, 0.95-1.04x at 19,
+# 1.12-1.17x at 20 (modular faster in 9 of 10 pairs for each seed),
+# 1.19-1.36x at 22 and 1.37-1.48x at 24
+_MODULAR_ROWS = 20
 # the primes lie below 2^_PRIME_BITS, so a product of two residues is < 2^52
 _PRIME_BITS = 26
 # primes are sieved in windows of this many consecutive integers
@@ -84,6 +86,8 @@ _CHUNK_ENTRIES = 1 << 16
 # products summed between reductions of a column; below 2^11 each sum
 # stays inside int64 (see the module docstring)
 _REDUCE_EVERY = 1 << 10
+# `tau_bruteforce` refuses graphs with more (n-1)-edge subsets than this
+_BRUTE_FORCE_LIMIT = 5_000_000
 
 
 def laplacian(g: Graph) -> IntMatrix:
@@ -339,42 +343,21 @@ def tau(g: Graph) -> int:
             heapq.heappush(heap, (len(new), i))
 
 
-def tau_bruteforce(g: Graph, *, budget: int = 5_000_000) -> int:
+def tau_bruteforce(g: Graph) -> int:
     """Count spanning trees by scanning all (n-1)-edge subsets.
 
     Independent of the determinant route: a subset counts when its edges
-    (parallel copies are distinct edges) touch no cycle and leave one
-    component.  Refuses when C(|E|, n-1) exceeds ``budget``.
+    (parallel copies are distinct edges) join all n vertices, as n - 1
+    edges do exactly when they form a tree.  Refuses when C(|E|, n-1)
+    exceeds _BRUTE_FORCE_LIMIT.
     """
     n = g.n_vertices
     if n == 0:
         return 0
     instances = g.edge_instances()
-    need = n - 1
-    if len(instances) < need:
-        return 0
-    n_subsets = comb(len(instances), need)
-    if n_subsets > budget:
+    n_subsets = comb(len(instances), n - 1)
+    if n_subsets > _BRUTE_FORCE_LIMIT:
         raise ValueError(
-            f"{n_subsets} subsets exceed the enumeration budget of {budget}"
+            f"{n_subsets} subsets exceed the enumeration budget of {_BRUTE_FORCE_LIMIT}"
         )
-    count = 0
-    for subset in combinations(instances, need):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merges = 0
-        for u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                break
-            parent[ru] = rv
-            merges += 1
-        if merges == need:
-            count += 1
-    return count
+    return sum(_connects(n, subset) for subset in combinations(instances, n - 1))

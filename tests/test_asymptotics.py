@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+import spantree.asymptotics as asymptotics
 from spantree import (
-    Formula,
+    Estimate,
     PartClass,
     check_lhospital,
     count_partitions_up_to,
@@ -19,21 +20,23 @@ from oracles import P_100, cumulative_linear, f_linear, hr_linear, target_linear
 
 
 class TestEstimates:
-    def test_formula_tags(self):
-        assert hardy_ramanujan(10).formula is Formula.HARDY_RAMANUJAN
-        assert prime_main_term(10).formula is Formula.PRIME_PARTITION_MAIN_TERM
-        assert cumulative_lower_bound(10).formula is Formula.CUMULATIVE_LOWER_BOUND
-        assert integral_target(10).formula is Formula.INTEGRAL_TARGET
+    def test_log_value_is_the_whole_record(self):
+        assert Estimate(2.5) == Estimate(log_value=2.5)
+        with pytest.raises(TypeError):
+            Estimate(2.5, formula="hardy-ramanujan")
+        with pytest.raises(TypeError):
+            Estimate(2.5, n=10)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 50, 100, 399])
     def test_log_space_matches_direct_evaluation(self, n):
         checks = [
-            (hardy_ramanujan(n), hr_linear(n)),
-            (prime_main_term(n), f_linear(n)),
-            (cumulative_lower_bound(n), cumulative_linear(n)),
-            (integral_target(n), target_linear(n)),
+            (hardy_ramanujan(n), asymptotics._log_hr, hr_linear(n)),
+            (prime_main_term(n), asymptotics._log_f, f_linear(n)),
+            (cumulative_lower_bound(n), asymptotics._log_cumulative, cumulative_linear(n)),
+            (integral_target(n), asymptotics._log_target, target_linear(n)),
         ]
-        for estimate, direct in checks:
+        for estimate, log_fn, direct in checks:
+            assert estimate.log_value == log_fn(n)
             assert estimate.value == pytest.approx(direct, rel=1e-12)
 
     def test_overflow_marker(self):

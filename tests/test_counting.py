@@ -117,11 +117,24 @@ class TestBruteForce:
             assert tau(g) == tau_bruteforce(g)
 
     def test_budget_refusal(self):
-        with pytest.raises(ValueError, match="budget"):
-            tau_bruteforce(complete(9), budget=10)
+        # C(36, 8) = 30,260,340 subsets, past the fixed limit
+        with pytest.raises(ValueError, match="budget of 5000000"):
+            tau_bruteforce(complete(9))
+        with pytest.raises(TypeError):
+            tau_bruteforce(complete(3), budget=10)
 
     def test_too_few_edges(self):
         assert tau_bruteforce(Graph(3, ((0, 1),))) == 0
+
+    def test_small_cases(self):
+        assert tau_bruteforce(Graph(0)) == 0
+        assert tau_bruteforce(Graph(1)) == 1
+        assert tau_bruteforce(Graph(2, ((0, 1, 3),))) == 3
+        # two parallel copies are a 2-cycle and leave vertex 2 out
+        assert tau_bruteforce(Graph(3, ((0, 1, 2),))) == 0
+        # triangle with one side doubled: 2 + 2 + 1 spanning trees
+        g = Graph(3, ((0, 1, 2), (1, 2), (0, 2)))
+        assert tau_bruteforce(g) == tau(g) == 5
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,6 +331,26 @@ class TestModularFinish:
         for k in (*range(crossover - 2, crossover + 3), 31, 47, 64, 89, 120):
             g = dense_multigraph(rng, k + 1)
             assert tau(g) == dense_tau(g)
+
+    def test_kernel_switches_at_modular_rows(self, monkeypatch):
+        rows = spanning._MODULAR_ROWS
+        calls = []
+
+        def spy(name):
+            kernel = getattr(spanning, name)
+
+            def call(block, *rest):
+                calls.append((name, len(block[0])))
+                return kernel(block, *rest)
+
+            return call
+
+        for name in ("_bareiss", "_det_mod"):
+            monkeypatch.setattr(spanning, name, spy(name))
+        for k in (rows, rows - 1):  # K_(k+1) leaves a dense block of k rows
+            calls.clear()
+            assert tau(complete(k + 1)) == (k + 1) ** (k - 1)
+            assert calls == [("_det_mod" if k == rows else "_bareiss", k)]
 
     def test_multiplicities_beyond_int64(self):
         rng = random.Random(31)

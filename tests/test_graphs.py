@@ -121,6 +121,10 @@ class TestConnectivity:
         g = Graph(6, tuple(cycle(3).edges) + ((3, 4), (4, 5), (3, 5)))
         assert not is_connected(g)
 
+    def test_parallel_edges_and_isolated_vertex(self):
+        assert not is_connected(Graph(3, ((0, 1, 4),)))
+        assert is_connected(Graph(3, ((0, 1, 4), (1, 2, 2))))
+
     @settings(max_examples=300, deadline=None)
     @given(
         n=st.integers(0, 9),

@@ -12,7 +12,6 @@ from spantree import (
     p_set_enumerate,
     p_set_size,
     primes_up_to,
-    product_of_parts,
 )
 from spantree.partitions import _primes_in
 
@@ -178,8 +177,3 @@ class TestCumulativeFamily:
     def test_cumulative_sum_identity(self):
         table = count_partitions_up_to(30, PartClass.ODD_PRIME)
         assert p_set_size(30) == sum(table[3:])
-
-
-def test_product_of_parts():
-    assert product_of_parts(()) == 1
-    assert product_of_parts((3, 5, 7)) == 105
