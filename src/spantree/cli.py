@@ -135,11 +135,9 @@ def _check_edge_count(option: str, edges: int) -> None:
         raise ValueError(f"{option}: more than {_LIST_LIMIT:,} edges")
 
 
-def _atlas_dir_arg(parser: argparse.ArgumentParser, required_hint: bool) -> None:
+def _atlas_dir_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--atlas-dir",
-        help="directory of atlas_<n>.json files"
-        + (" (or SPANTREE_ATLAS_DIR)" if required_hint else ""),
+        "--atlas-dir", help="directory of atlas_<n>.json files (or SPANTREE_ATLAS_DIR)"
     )
 
 
@@ -366,12 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_alpha = sub.add_parser("alpha", help="least vertex count realizing m")
     p_alpha.add_argument("--m", type=int, required=True)
-    _atlas_dir_arg(p_alpha, required_hint=True)
+    _atlas_dir_arg(p_alpha)
     _add_format(p_alpha)
 
     p_bounds = sub.add_parser("bounds", help="per-n family sizes and bound table")
     p_bounds.add_argument("--max-n", type=int, required=True)
-    _atlas_dir_arg(p_bounds, required_hint=False)
+    _atlas_dir_arg(p_bounds)
     _add_format(p_bounds)
 
     p_asym = sub.add_parser("asymptotics", help="growth formulas on a grid")

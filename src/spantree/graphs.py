@@ -15,9 +15,10 @@ already hold the canonical form skip that through the private
 `Graph._from_canonical`: `cycle`, `path` and `complete` (and the flowers and
 witnesses in ``witness.py``) emit their triples sorted, with distinct
 in-range endpoints by construction; `parse_edge_list` checks each line once
-and merges and sorts the triples itself.  The result equals what
-``Graph(...)`` would make of the same edges, so equality and hashing are
-unaffected (the tests compare both paths).
+and merges the multiplicities on the same integer pair key that
+``Graph(...)`` uses, sorted into triples by the one `_canonical`.  The result
+equals what ``Graph(...)`` would make of the same edges, so equality and
+hashing are unaffected (the tests compare both paths).
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ class Graph:
     edges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 0:
+        n = self.n_vertices
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        merged: dict[tuple[int, int], int] = {}
+        merged: dict[int, int] = {}  # keyed by u * n + v, u < v
         for entry in self.edges:
             if len(entry) == 2:
                 u, v = entry
@@ -80,15 +82,13 @@ class Graph:
                 raise ValueError(f"edge entry {entry!r} is not a pair or a triple")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} rejected")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(
-                    f"edge ({u}, {v}) outside vertex range 0..{self.n_vertices - 1}"
-                )
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             if m < 1:
                 raise ValueError(f"multiplicity {m} for edge ({u}, {v}) must be >= 1")
-            key = (u, v) if u < v else (v, u)
+            key = u * n + v if u < v else v * n + u
             merged[key] = merged.get(key, 0) + m
-        object.__setattr__(self, "edges", _canonical(merged))
+        object.__setattr__(self, "edges", _canonical(n, merged))
 
     @classmethod
     def _from_canonical(
@@ -131,9 +131,10 @@ class Graph:
         return out
 
 
-def _canonical(merged: dict[tuple[int, int], int]) -> tuple[tuple[int, int, int], ...]:
-    """Sorted ``(u, v, m)`` triples from multiplicities keyed by ``(u, v)``, ``u < v``."""
-    return tuple((u, v, m) for (u, v), m in sorted(merged.items()))
+def _canonical(n: int, merged: dict[int, int]) -> tuple[tuple[int, int, int], ...]:
+    """Sorted ``(u, v, m)`` triples from multiplicities keyed by ``u * n + v``,
+    ``u < v < n``; the keys sort as the pairs do."""
+    return tuple((key // n, key % n, merged[key]) for key in sorted(merged))
 
 
 def _check_vertex(g: Graph, u: int) -> None:
@@ -331,5 +332,4 @@ def parse_edge_list(text: str) -> Graph:
         merged[key] = merged.get(key, 0) + m
     if n_vertices is None:
         raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")
-    edges = tuple((key // n_vertices, key % n_vertices, merged[key]) for key in sorted(merged))
-    return Graph._from_canonical(n_vertices, edges)
+    return Graph._from_canonical(n_vertices, _canonical(n_vertices, merged))

@@ -15,9 +15,9 @@ are dicts, and a step rewrites only the pivot's neighbour rows.  Every other
 row keeps the step of its last update and is rescaled when next touched;
 the rescale divides exactly because every entry of the active block is a
 minor of the integer matrix.  Once the next pivot row is dense, `_finish`
-takes the active block: below _MODULAR_ROWS rows to the list-of-lists loop
-of `det_fraction_free`, from there on to `_det_mod`: left-looking LDL^T
-elimination, without row swaps, of its residues modulo a batch of primes.
+takes the active block: below _MODULAR_ROWS rows to `_bareiss`, a
+list-of-lists Bareiss loop, from there on to `_det_mod`: left-looking LDL^T
+elimination of its residues modulo a batch of primes.  Neither swaps rows.
 
 Why the multimodular finish is exact.  Let B be the k x k active block left
 after pivots p_1..p_t, and prev = p_t (1 when nothing was eliminated).  B /
@@ -62,7 +62,7 @@ import numpy as np
 from .graphs import Graph, _connects
 from .partitions import _primes_in
 
-__all__ = ["laplacian", "det_fraction_free", "tau", "tau_bruteforce"]
+__all__ = ["laplacian", "tau", "tau_bruteforce"]
 
 # Square matrix of exact integers, row-major.
 IntMatrix = list[list[int]]
@@ -106,48 +106,29 @@ def laplacian(g: Graph) -> IntMatrix:
     return mat
 
 
-def det_fraction_free(mat: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Each elimination step divides by the previous pivot and that division is
-    exact, so intermediate values stay integers.  Pivoting swaps in the
-    first nonzero candidate below the diagonal; magnitude is irrelevant for
-    exactness.  A zero pivot column with no candidate means the determinant
-    is 0.  The empty (0 x 0) matrix has determinant 1 by convention.
-    """
-    if not mat:
-        return 1
-    return _bareiss([list(row) for row in mat], 1)
-
-
 def _bareiss(m: IntMatrix, prev: int) -> int:
     """Determinant from a nonempty Bareiss block, eliminated in place.
 
-    ``prev`` divides the first step: 1 for a whole matrix, or the last pivot
-    taken when ``m`` is the active block left after earlier Bareiss steps
-    (the result is then the determinant of the whole matrix).
+    ``prev`` divides the first step: the last pivot taken before ``m`` was
+    left as the active block (1 when there was none); the result is then
+    the determinant of the whole struck Laplacian.  ``m`` is ``prev`` times a
+    positive semidefinite Schur complement, so a zero diagonal entry has a
+    zero row: a zero pivot means the determinant is 0, and no rows are
+    swapped (the argument `tau` gives for its own zero pivot).
     """
     k = len(m)
-    sign = 1
     for col in range(k - 1):
-        if m[col][col] == 0:
-            for r in range(col + 1, k):
-                if m[r][col] != 0:
-                    m[col], m[r] = m[r], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[col][col]
         pivot_row = m[col]
+        pivot = pivot_row[col]
+        if pivot == 0:
+            return 0
         for i in range(col + 1, k):
             row = m[i]
             factor = row[col]
             for j in range(col + 1, k):
                 row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
-            row[col] = 0
         prev = pivot
-    return sign * m[k - 1][k - 1]
+    return m[k - 1][k - 1]
 
 
 def _finish(block: IntMatrix, prev: int) -> int:

@@ -1,17 +1,19 @@
 """Independent reference implementations the tests compare against.
 
 Nothing in here shares code paths with what it checks: the determinant is
-cofactor expansion instead of fraction-free elimination, the atlas is a
-scan of every labelled edge subset instead of an extension of isomorphism
-classes, the extensions' counts are one ``tau`` of one ``Graph`` each
-instead of a subset tree over L_G, a graph's exact canonical code is its
-least code over all k! relabellings instead of one colour-refinement
-relabelling, connectivity is a breadth-first search instead of union-find,
-unrestricted partition counts are the one-part-at-a-time dynamic program
-instead of Euler's pentagonal recurrence, partitions are listed by nested
-generators over a trial-division pool instead of an explicit stack over a
-sieved one, and the float formulas are evaluated in linear space instead
-of log-space.  Slow and simple on purpose.
+cofactor expansion, or for larger matrices elimination with row swaps of
+any square matrix, instead of τ's elimination without row swaps of
+positive semidefinite blocks, the atlas is a scan of every labelled edge
+subset instead of an extension of isomorphism classes, the extensions'
+counts are one ``tau`` of one ``Graph`` each instead of a subset tree over
+L_G, a graph's exact canonical code is its least code over all k!
+relabellings instead of one colour-refinement relabelling, connectivity is
+a breadth-first search instead of union-find, unrestricted partition
+counts are the one-part-at-a-time dynamic program instead of Euler's
+pentagonal recurrence, partitions are listed by nested generators over a
+trial-division pool instead of an explicit stack over a sieved one, and
+the float formulas are evaluated in linear space instead of log-space.
+Slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -105,6 +107,36 @@ def det_cofactor(mat: list[list[int]]) -> int:
         minor = [[row[c] for c in range(k) if c != j] for row in mat[1:]]
         total += (-1) ** j * x * det_cofactor(minor)
     return total
+
+
+def det_bareiss(mat: list[list[int]]) -> int:
+    """Determinant of any square integer matrix by fraction-free (Bareiss)
+    elimination.
+
+    A zero pivot is swapped for the first nonzero entry below it in its
+    column, flipping the sign; a column with none means the determinant is
+    0.  Each step divides exactly by the previous pivot.  The 0 x 0 matrix
+    has determinant 1; ``mat`` is not changed.
+    """
+    k = len(mat)
+    if k == 0:
+        return 1
+    a = [list(row) for row in mat]
+    sign, prev = 1, 1
+    for c in range(k):
+        swap = next((r for r in range(c, k) if a[r][c]), None)
+        if swap is None:
+            return 0
+        if swap != c:
+            a[c], a[swap] = a[swap], a[c]
+            sign = -sign
+        top = a[c]
+        p = top[c]
+        for r in range(c + 1, k):
+            row, x = a[r], a[r][c]
+            a[r] = [0] * (c + 1) + [(p * row[j] - x * top[j]) // prev for j in range(c + 1, k)]
+        prev = p
+    return sign * a[k - 1][k - 1]
 
 
 def principal_minor(mat: list[list[int]], strike: int) -> list[list[int]]:

@@ -592,6 +592,12 @@ class TestStability:
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0
 
+    @pytest.mark.parametrize("command", ["alpha", "bounds"])
+    def test_atlas_dir_help_names_the_variable(self, run, command):
+        code, out, _ = run(command, "--help")
+        assert code == 0
+        assert "SPANTREE_ATLAS_DIR" in out
+
 
 class TestParserReuse:
     def test_calls_leave_no_state(self, run, atlas_dir, bad_inputs):

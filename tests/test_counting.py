@@ -17,7 +17,6 @@ from spantree import (
     contract_edge,
     cycle,
     delete_edge,
-    det_fraction_free,
     identify,
     laplacian,
     path,
@@ -25,7 +24,7 @@ from spantree import (
     tau_bruteforce,
 )
 
-from oracles import det_cofactor, principal_minor, random_multigraph
+from oracles import det_bareiss, det_cofactor, principal_minor, random_multigraph
 
 
 class TestLaplacian:
@@ -41,25 +40,27 @@ class TestLaplacian:
 
 
 class TestDeterminant:
+    """The general determinant oracle that ``dense_tau`` rests on."""
+
     def test_empty_matrix_is_one(self):
-        assert det_fraction_free([]) == 1
+        assert det_bareiss([]) == 1
 
     def test_against_cofactor_expansion(self):
         rng = random.Random(11)
         for _ in range(300):
             k = rng.randint(1, 6)
             mat = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)]
-            assert det_fraction_free(mat) == det_cofactor(mat)
+            assert det_bareiss(mat) == det_cofactor(mat)
 
     def test_singular(self):
-        assert det_fraction_free([[1, 2], [2, 4]]) == 0
+        assert det_bareiss([[1, 2], [2, 4]]) == 0
 
     def test_needs_row_swap(self):
-        assert det_fraction_free([[0, 1], [1, 0]]) == -1
+        assert det_bareiss([[0, 1], [1, 0]]) == -1
 
     def test_input_not_mutated(self):
         mat = [[2, 1], [1, 2]]
-        det_fraction_free(mat)
+        det_bareiss(mat)
         assert mat == [[2, 1], [1, 2]]
 
 
@@ -150,10 +151,10 @@ def test_deletion_contraction(mask, edge_index):
 
 
 def dense_tau(g: Graph) -> int:
-    """The dense route: Bareiss on the whole struck Laplacian."""
+    """The dense route: a general determinant of the whole struck Laplacian."""
     if g.n_vertices == 0:
         return 0
-    return det_fraction_free(principal_minor(laplacian(g), 0))
+    return det_bareiss(principal_minor(laplacian(g), 0))
 
 
 def relabel(g: Graph, label: list[int]) -> Graph:
@@ -322,6 +323,30 @@ def is_prime(x: int) -> bool:
     return x > 1 and all(x % d for d in range(2, isqrt(x) + 1))
 
 
+class TestBareissFinish:
+    """Dense blocks below _MODULAR_ROWS rows are finished by `_bareiss`."""
+
+    def test_zero_pivot_before_last_column(self, monkeypatch):
+        """K_9 on 1..9 and K_9 on 0, 10..17 leave one 17-row block whose
+        first 9 rows are K_9's singular Laplacian: the pivot at column 8
+        vanishes over a zero row and column, so no row is swapped."""
+        blocks = []
+
+        def spy(block, prev):
+            blocks.append(block)
+            return bareiss(block, prev)
+
+        bareiss = spanning._bareiss
+        monkeypatch.setattr(spanning, "_bareiss", spy)
+        left = tuple((u + 1, v + 1) for u, v, _ in complete(9).edges)
+        right = tuple((u and u + 9, v + 9) for u, v, _ in complete(9).edges)
+        assert tau(Graph(18, left + right)) == 0
+        [block] = blocks
+        assert len(block) == 17
+        assert [c for c in range(17) if block[c][c] == 0][0] == 8
+        assert not any(block[8][8:]) and not any(row[8] for row in block[9:])
+
+
 class TestModularFinish:
     """Dense blocks of at least _MODULAR_ROWS rows are finished modulo primes."""
 
@@ -402,8 +427,8 @@ class TestModularFinish:
                 for j in range(i, k):
                     mat[i][j] = mat[j][i] = rng.choice(entries)
             a = np.array([[[x % p for x in row] for row in mat] for p in primes])
-            det = det_fraction_free(mat)
-            minors = [det_fraction_free([row[:j] for row in mat[:j]]) for j in range(1, k)]
+            det = det_bareiss(mat)
+            minors = [det_bareiss([row[:j] for row in mat[:j]]) for j in range(1, k)]
             for p, d in zip(primes, spanning._det_mod(a, primes)):
                 if d is None:
                     assert any(m % p == 0 for m in minors)
