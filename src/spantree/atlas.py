@@ -42,6 +42,7 @@ import json
 import math
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -248,7 +249,9 @@ def alpha_exact(m: int, atlas_cache: Mapping[int, AtlasRecord]) -> AlphaRecord:
     while prefix + 1 in atlas_cache:
         prefix += 1
     for j in range(1, prefix + 1):
-        if m in atlas_cache[j].values:
+        values = atlas_cache[j].values
+        i = bisect_left(values, m)
+        if i < len(values) and values[i] == m:
             return AlphaRecord(m=m, alpha=j, searched_up_to=prefix)
     return AlphaRecord(m=m, alpha=prefix + 1, searched_up_to=prefix)
 

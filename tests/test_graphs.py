@@ -1,9 +1,13 @@
 import random
+import re
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spantree import graphs
 from spantree import (
     EdgeListError,
     Graph,
@@ -19,6 +23,19 @@ from spantree import (
 )
 
 from oracles import is_connected_bfs, random_multigraph
+
+
+def open_gate():
+    """Offer every edge list with a header line to the bulk parser."""
+    return mock.patch.object(graphs, "_BULK_CHARS", 0)
+
+
+def outcome(parse, text):
+    """What ``parse(text)`` gives: the graph, or its error and line number."""
+    try:
+        return parse(text)
+    except EdgeListError as exc:
+        return str(exc), exc.line_no
 
 
 class TestConstruction:
@@ -42,6 +59,16 @@ class TestConstruction:
     def test_nonpositive_multiplicity_rejected(self):
         with pytest.raises(ValueError, match="multiplicity"):
             Graph(2, ((0, 1, 0),))
+
+    @pytest.mark.parametrize("entry", [(0.0, 1.0), (0, 1, 1.5), ("0", 1), (0, None)])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(ValueError, match=f"edge entry {re.escape(repr(entry))}"):
+            Graph(3, (entry, (1, 2)))
+
+    def test_numpy_integers_stored_as_int(self):
+        g = Graph(3, ((np.int64(1), np.int32(0)), (1, np.uint8(2), np.int64(2))))
+        assert g.edges == ((0, 1, 1), (1, 2, 2))
+        assert {type(x) for edge in g.edges for x in edge} == {int}
 
     def test_negative_vertex_count_rejected(self):
         with pytest.raises(ValueError):
@@ -226,6 +253,108 @@ class TestEdgeListFormat:
         assert str(exc_info.value) == message
 
 
+class TestEdgeListFormatBulk(TestEdgeListFormat):
+    """The edge-list cases again, with every text offered to the bulk parser."""
+
+    @pytest.fixture(autouse=True)
+    def gate_open(self):
+        with open_gate():
+            yield
+
+
+# one-line edits that leave the bulk parser or change what a line means:
+# lines it must hand to the loop whole, and lines the loop rejects
+_EDITS = {
+    "comment": lambda s: "# " + s,
+    "crlf": lambda s: s + "\r",
+    "carriage return": lambda s: s.replace(" ", "\r", 1),
+    "tab": lambda s: s.replace(" ", "\t", 1),
+    "plus": lambda s: "+" + s,
+    "underscore": lambda s: s.replace(" ", " 1_", 1),
+    "arabic-indic digit": lambda s: s.replace("1", "\u0661"),
+    "vertical tab": lambda s: s.replace(" ", "\x0b", 1),
+    "line separator": lambda s: s.replace(" ", "\u2028", 1),
+    "leading zeros": lambda s: "0" * 19 + s,
+    "wraps past 2^64": lambda s: str(2**64 + int(s[: s.index(" ")])) + s[s.index(" "):],
+    "blank padding": lambda s: "  " + s + " \n ",
+    "self-loop": lambda s: f"{s.split()[0]} {s.split()[0]}",
+    "out of range": lambda s: s + "0",
+    "zero multiplicity": lambda s: " ".join(s.split()[:2]) + " 0",
+    "one token": lambda s: s.split()[0],
+    "four tokens": lambda s: s + " 1 1",
+    "word": lambda s: s + "x",
+}
+_HEADERS = (
+    "n {n}", "# c\nn {n}", " n  0{n} ", "n\t{n}", "n\x0b{n}", "n +{n}", "n {n}\r",
+    "n {n}" + "0" * 4300,
+)
+
+
+class TestBulkParse:
+    """The bulk parser against the line loop on bodies above its gate."""
+
+    @staticmethod
+    def check_as_loop(n, seed, header, edits):
+        """150 random edge lines on n vertices, edited, parse as the loop has it."""
+        rng = random.Random(seed)
+        lines = []
+        for _ in range(150):
+            u, v = rng.sample(range(n), 2)
+            m = rng.choice((1, 1, 2, 3))
+            lines.append(f"{u} {v}" if m == 1 else f"{u} {v} {m}")
+        for i, name in edits:
+            lines[i] = _EDITS[name](lines[i])
+        text = header.format(n=n) + "\n" + "\n".join(lines) + "\n"
+        assert len(text) - len(header.format(n=n)) > graphs._BULK_CHARS
+        got = outcome(parse_edge_list, text)
+        assert got == outcome(graphs._parse_lines, text)
+        if isinstance(got, Graph):
+            assert {type(x) for edge in got.edges for x in edge} <= {int}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        seed=st.integers(0, 2**32),
+        header=st.sampled_from(_HEADERS),
+        edits=st.lists(st.tuples(st.integers(0, 149), st.sampled_from(sorted(_EDITS))),
+                       max_size=4, unique_by=lambda edit: edit[0]),
+    )
+    @example(n=2**40, seed=0, header="n {n}", edits=[])  # keys past 2^63
+    def test_unusual_bodies_parse_as_the_loop_does(self, n, seed, header, edits):
+        self.check_as_loop(n, seed, header, edits)
+
+    @pytest.mark.parametrize("edit", sorted(_EDITS))
+    def test_each_edit_parses_as_the_loop_does(self, edit):
+        self.check_as_loop(90, 1, "n {n}", [(0, edit), (75, edit), (149, edit)])
+
+    def test_sum_past_2_63(self):
+        text = "n 2\n" + "0 1 999999999999999999\n" * 40
+        assert parse_edge_list(text).edges == ((0, 1, 40 * (10**18 - 1)),)
+
+    def test_plain_body_takes_the_bulk_path(self):
+        g = random_multigraph(random.Random(3), max_vertices=40, max_edges=400)
+        text = format_edge_list(g)
+        assert len(text) > graphs._BULK_CHARS
+        assert graphs._parse_bulk(text) == g
+        assert graphs._parse_bulk(text.rstrip("\n")) == g  # no final newline
+
+    def test_eight_mib_under_address_space_cap(self, capped_python, tmp_path):
+        # 4 copies of K_670's pairs in 4 spellings: 7.9 MiB, multiplicity 1+2+3+1
+        k = 670
+        forms = ("{u} {v}", "{v} {u} 2", "{u}  {v} 3", " {v} {u}")
+        lines = [f.format(u=u, v=v) for f in forms for u in range(k) for v in range(u + 1, k)]
+        target = tmp_path / "big.edgelist"
+        target.write_text(f"n {k}\n" + "\n".join(lines) + "\n")
+        assert 7 << 20 < target.stat().st_size <= 8 << 20
+        proc = capped_python("-c", (
+            "from spantree.graphs import _parse_bulk, read_text_bounded\n"
+            f"g = _parse_bulk(read_text_bounded({str(target)!r}, 8 << 20))\n"
+            "print(g.n_vertices, len(g.edges), {m for *_, m in g.edges}, g.edges[-1])"
+        ))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"{k} {k * (k - 1) // 2} {{7}} ({k - 2}, {k - 1}, 7)\n"
+
+
 class TestTrustedConstruction:
     """Builders that skip validation produce what validation would produce.
 
@@ -247,9 +376,11 @@ class TestTrustedConstruction:
         lines = data.draw(st.permutations(lines))
         if data.draw(st.booleans()):
             lines.reverse()
-        g = parse_edge_list("\n".join([f"n {n}", *lines]) + "\n")
+        text = "\n".join([f"n {n}", *lines]) + "\n"
         parsed = [tuple(map(int, line.split())) for line in lines]
-        assert g == Graph(n, tuple(parsed))
+        assert parse_edge_list(text) == Graph(n, tuple(parsed))
+        with open_gate():
+            assert parse_edge_list(text) == Graph(n, tuple(parsed))
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(3, 60))
