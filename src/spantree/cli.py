@@ -78,7 +78,8 @@ _INPUT_LIMIT = 8 * 2**20
 # the prime classes take about a minute here, and N + 1 ints can exhaust memory
 _COUNT_MAX_N = 10**5
 
-# the literals int() accepts, so a bad --grid is reported by its option name
+# the literals int() accepts, so a bad --grid or --flower is reported by its
+# option name
 _INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
@@ -148,6 +149,14 @@ def _atlas_dir(args: argparse.Namespace) -> str | None:
     return os.environ.get("SPANTREE_ATLAS_DIR")
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    """The integers of a comma-separated option value."""
+    items = text.split(",")
+    if not all(_INT_LITERAL.fullmatch(s) for s in items):
+        raise ValueError(f"{option} must be comma-separated integers")
+    return [int(s) for s in items]
+
+
 def _cmd_tau(args: argparse.Namespace) -> _Output:
     if args.input is not None:
         g = parse_edge_list(read_text_bounded(args.input, _INPUT_LIMIT))
@@ -159,7 +168,7 @@ def _cmd_tau(args: argparse.Namespace) -> _Output:
         _check_edge_count(f"--complete {args.complete}", k * (k - 1) // 2)
         g = complete(args.complete)
     else:
-        lengths = tuple(sorted(int(s) for s in args.flower.split(",")))
+        lengths = tuple(sorted(_int_list("--flower", args.flower)))
         _check_edge_count("--flower", sum(lengths))
         g = flower(lengths)
     value = str(tau(g))
@@ -277,9 +286,7 @@ def _cmd_bounds(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_asymptotics(args: argparse.Namespace) -> _Output:
-    if not all(_INT_LITERAL.fullmatch(s) for s in args.grid.split(",")):
-        raise ValueError("--grid must be comma-separated integers")
-    grid = [int(s) for s in args.grid.split(",")]
+    grid = _int_list("--grid", args.grid)
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValueError("--grid must be ascending")
     if any(n < 2 for n in grid):

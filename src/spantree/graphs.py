@@ -42,8 +42,6 @@ __all__ = [
     "cycle",
     "path",
     "complete",
-    "identify",
-    "is_connected",
     "delete_edge",
     "contract_edge",
     "format_edge_list",
@@ -124,10 +122,6 @@ class Graph:
         """Number of edges counted with multiplicity."""
         return sum(m for _, _, m in self.edges)
 
-    def degree(self, u: int) -> int:
-        """Degree of ``u`` counted with multiplicity."""
-        return sum(m for a, b, m in self.edges if u == a or u == b)
-
     def multiplicity(self, u: int, v: int) -> int:
         """Multiplicity of the edge ``uv`` (0 when absent)."""
         key = (u, v) if u < v else (v, u)
@@ -148,11 +142,6 @@ def _canonical(n: int, merged: dict[int, int]) -> tuple[tuple[int, int, int], ..
     """Sorted ``(u, v, m)`` triples from multiplicities keyed by ``u * n + v``,
     ``u < v < n``; the keys sort as the pairs do."""
     return tuple((key // n, key % n, merged[key]) for key in sorted(merged))
-
-
-def _check_vertex(g: Graph, u: int) -> None:
-    if not (0 <= u < g.n_vertices):
-        raise ValueError(f"vertex {u} not in graph on {g.n_vertices} vertices")
 
 
 def cycle(length: int) -> Graph:
@@ -178,37 +167,6 @@ def complete(n_vertices: int) -> Graph:
     return Graph._from_canonical(
         n_vertices, tuple((u, v, 1) for u, v in combinations(range(n_vertices), 2))
     )
-
-
-def identify(g: Graph, u: int, h: Graph, v: int) -> Graph:
-    """One-point union: disjoint copies of ``g`` and ``h`` with ``u = v``.
-
-    Vertices of ``g`` keep their labels, so the merged vertex is ``u``; the
-    remaining vertices of ``h`` follow in their original order starting at
-    ``g.n_vertices``.  The relabeling is deterministic, which keeps
-    serialized output stable.
-    """
-    _check_vertex(g, u)
-    _check_vertex(h, v)
-    relabel: dict[int, int] = {}
-    next_id = g.n_vertices
-    for w in range(h.n_vertices):
-        if w == v:
-            relabel[w] = u
-        else:
-            relabel[w] = next_id
-            next_id += 1
-    edges = list(g.edges)
-    edges.extend((relabel[a], relabel[b], m) for a, b, m in h.edges)
-    return Graph(g.n_vertices + h.n_vertices - 1, tuple(edges))
-
-
-def is_connected(g: Graph) -> bool:
-    """Whether every vertex pair is joined by a path.
-
-    The empty graph (0 vertices) counts as connected by convention.
-    """
-    return _connects(g.n_vertices, ((u, v) for u, v, _ in g.edges))
 
 
 def _connects(n: int, pairs: Iterable[tuple[int, int]]) -> bool:

@@ -81,8 +81,15 @@ _MODULAR_ROWS = 20
 _PRIME_BITS = 26
 # primes are sieved in windows of this many consecutive integers
 _PRIME_WINDOW = 1 << 14
-# int64 entries per working array of the multimodular finish
-_CHUNK_ENTRIES = 1 << 16
+# int64 entries per working array of the multimodular finish (2 MiB): a block
+# of up to about 100 rows takes every prime its bound needs in one
+# `_det_mod` call, since each call repeats the whole column loop.  Min
+# (median) of 6 in-process runs at 2^16 / 2^18 / 2^20 entries on a shared
+# 2-vCPU host: K_90 11 (16) / 8 (12.5) / 8 (12) ms, K_150 68 (104) /
+# 48 (70) / 49 (70) ms, a 200-vertex multigraph (p 0.7, multiplicities 1-3)
+# 218 (295) / 141 (181) / 145 (200) ms, K_300 703 (960) / 597 (931) /
+# 675 (936) ms; peak RSS 37 / 40 / 57 MB
+_CHUNK_ENTRIES = 1 << 18
 # products summed between reductions of a column; below 2^11 each sum
 # stays inside int64 (see the module docstring)
 _REDUCE_EVERY = 1 << 10
@@ -163,7 +170,10 @@ def _finish(block: IntMatrix, prev: int) -> int:
                 break
         if not chunk:  # the bound outgrows every prime below 2^26, about 2^(9.7 * 10^7)
             return _bareiss(block, prev)
-        a = (mat % np.array(chunk, dtype=np.int64)[:, None, None]).astype(np.int64, copy=False)
+        # residues straight into int64; object entries are reduced a buffer
+        # at a time, so no object array of the chunk's size is built
+        a = np.empty((len(chunk), k, k), dtype=np.int64)
+        np.remainder(mat, np.array(chunk, dtype=np.int64)[:, None, None], out=a, casting="unsafe")
         for p, d in zip(chunk, _det_mod(a, chunk)):
             if d is not None:
                 r = d * pow(prev, 1 - k, p)  # τ mod p, up to a multiple of p

@@ -123,8 +123,9 @@ def build_witness(p: Partition, n: int) -> Witness:
     Requires every part to be an odd prime and ``sum(parts) <= n``.  The
     flower has ``s - k + 1`` vertices, so a path on ``n - s + k`` vertices,
     merged endpoint-to-hub, lands on n exactly; a one-vertex path is the
-    degenerate no-op case.  Flower and path are emitted as one edge list,
-    labelled as ``identify(flower(p), 0, path(n - s + k), 0)`` labels them.
+    degenerate no-op case.  Flower and path are emitted as one edge list:
+    the flower keeps its labels, the path starts at the hub and runs on
+    through vertices s - k + 1, ..., n - 1.
     """
     if not p.parts:
         raise ValueError("partition must be nonempty")

@@ -295,7 +295,27 @@ def least_codes(k: int, codes) -> list[int]:
     return out
 
 
-def is_connected_bfs(g: Graph) -> bool:
+def degree(g: Graph, u: int) -> int:
+    """Degree of ``u`` counted with multiplicity."""
+    return sum(m for a, b, m in g.edges if u in (a, b))
+
+
+def identify(g: Graph, u: int, h: Graph, v: int) -> Graph:
+    """One-point union: disjoint copies of ``g`` and ``h`` with ``u = v``.
+
+    Vertices of ``g`` keep their labels, so the merged vertex is ``u``; the
+    other vertices of ``h`` follow in their order from ``g.n_vertices`` on.
+    """
+    if not (0 <= u < g.n_vertices and 0 <= v < h.n_vertices):
+        raise ValueError(f"vertex {u} or {v} out of range")
+    others = [w for w in range(h.n_vertices) if w != v]
+    relabel = {w: g.n_vertices + i for i, w in enumerate(others)}
+    relabel[v] = u
+    edges = g.edges + tuple((relabel[a], relabel[b], m) for a, b, m in h.edges)
+    return Graph(g.n_vertices + h.n_vertices - 1, edges)
+
+
+def is_connected(g: Graph) -> bool:
     """Connectivity by breadth-first search from vertex 0; 0 vertices count
     as connected."""
     if g.n_vertices == 0:

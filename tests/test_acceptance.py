@@ -26,7 +26,6 @@ from spantree import (
     exact_atlas,
     flower,
     hardy_ramanujan,
-    is_connected,
     p_set_size,
     scaled_central_derivative,
     sedlacek_bound,
@@ -36,7 +35,13 @@ from spantree import (
     witness_family,
 )
 
-from oracles import ATLAS_3, ATLAS_4, random_multigraph, random_odd_prime_partition
+from oracles import (
+    ATLAS_3,
+    ATLAS_4,
+    is_connected,
+    random_multigraph,
+    random_odd_prime_partition,
+)
 
 
 @pytest.fixture(scope="module")

@@ -147,6 +147,11 @@ class TestTau:
     def test_bad_flower_part(self, run):
         assert run("tau", "--flower", "3,2")[0] == 2
 
+    @pytest.mark.parametrize("value", ["", "3,,5", "3,x", "3,5,"])
+    def test_malformed_flower(self, run, value):
+        message = "error: --flower must be comma-separated integers\n"
+        assert run("tau", "--flower", value) == (2, "", message)
+
     def test_huge_named_graph_refused(self, run, monkeypatch):
         def build(*args):
             raise AssertionError("built a graph past the edge limit")

@@ -17,14 +17,13 @@ from spantree import (
     contract_edge,
     cycle,
     delete_edge,
-    identify,
     laplacian,
     path,
     tau,
     tau_bruteforce,
 )
 
-from oracles import det_bareiss, det_cofactor, principal_minor, random_multigraph
+from oracles import det_bareiss, det_cofactor, identify, principal_minor, random_multigraph
 
 
 class TestLaplacian:
@@ -438,7 +437,9 @@ class TestModularFinish:
                     zeros += d == 0
         assert unlucky and zeros
 
-    def test_prime_chunks(self, monkeypatch):
+    @staticmethod
+    def det_mod_shapes(monkeypatch) -> list[tuple[int, int, int]]:
+        """The shape of every array `_det_mod` is called on from now on."""
         shapes = []
 
         def spy(a, primes):
@@ -447,10 +448,29 @@ class TestModularFinish:
 
         det_mod = spanning._det_mod
         monkeypatch.setattr(spanning, "_det_mod", spy)
+        return shapes
+
+    def test_prime_chunks(self, monkeypatch):
+        """A budget below one block's batch of primes splits it into chunks."""
+        budget = 4 * 99 * 99  # four primes of a 99-row block
+        monkeypatch.setattr(spanning, "_CHUNK_ENTRIES", budget)
+        shapes = self.det_mod_shapes(monkeypatch)
         g = dense_multigraph(random.Random(41), 100)
         assert tau(g) == dense_tau(g)
         assert len(shapes) > 1
-        assert all(np.prod(shape) <= spanning._CHUNK_ENTRIES for shape in shapes)
+        assert all(np.prod(shape) <= budget for shape in shapes)
+
+    def test_one_call_per_block(self, monkeypatch):
+        """At the default budget an 89-row block takes every prime its
+        Hadamard bound needs in one `_det_mod` call."""
+        shapes = self.det_mod_shapes(monkeypatch)
+        n, m = 90, 3
+        tripled = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
+        for g, expected in ((complete(n), n ** (n - 2)), (tripled, m ** (n - 1) * n ** (n - 2))):
+            shapes.clear()
+            assert tau(g) == expected
+            assert len(shapes) == 1
+            assert np.prod(shapes[0]) <= spanning._CHUNK_ENTRIES
 
     def test_int64_bound(self):
         """A residue less a sum of _REDUCE_EVERY products of residues fits int64."""
