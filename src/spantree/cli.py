@@ -420,6 +420,8 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"{args.input}: {exc}", 2
     except (ValueError, OSError) as exc:
         message, code = str(exc), 2
+    except MemoryError:  # a size the limits allow that this process cannot hold
+        message, code = "out of memory", 2
     else:
         _render(args.format, out)
         return 0

@@ -17,11 +17,11 @@ witnesses in ``witness.py``) emit their triples sorted, with distinct
 in-range endpoints by construction; `parse_edge_list` checks every edge line
 and merges the multiplicities on the same integer pair key u * n + v that
 ``Graph(...)`` uses.  Its line loop merges them in a dict sorted into
-triples by the one `_canonical`; a long edge list of plain digits, spaces
-and newlines is parsed in bulk by numpy instead, which sorts the keys and
-sums each run of equal keys.  The result equals what ``Graph(...)`` would
-make of the same edges, so equality and hashing are unaffected (the tests
-compare both paths).
+triples by the one `_canonical`; an edge list of plain digits, spaces and
+newlines is parsed in bulk by numpy instead, which reads every token with
+one ``np.fromstring``, sorts the keys and sums each run of equal keys.  The
+result equals what ``Graph(...)`` would make of the same edges, so equality
+and hashing are unaffected (the tests compare both paths).
 """
 
 from __future__ import annotations
@@ -129,13 +129,6 @@ class Graph:
             if (a, b) == key:
                 return m
         return 0
-
-    def edge_instances(self) -> list[tuple[int, int]]:
-        """Every parallel copy as its own ``(u, v)`` pair."""
-        out: list[tuple[int, int]] = []
-        for u, v, m in self.edges:
-            out.extend([(u, v)] * m)
-        return out
 
 
 def _canonical(n: int, merged: dict[int, int]) -> tuple[tuple[int, int, int], ...]:
@@ -261,17 +254,6 @@ def read_text_bounded(path: str | Path, limit: int) -> str:
     return data.decode("utf-8")
 
 
-# edge-list bodies (the text after the header line) of at least this many
-# characters are offered to `_parse_bulk`, shorter ones go to the line loop,
-# whose cost has no fixed part.  They cross near 500 characters: on 5 random
-# edge lists per size (n = 90 with multiplicities 1-3, n = 300 simple),
-# seeds 1-3, the loop took 0.72-0.89x the bulk time at 50 lines (~360
-# characters), 0.87-1.10x at 60 (~430), 0.94-1.18x at 70 (~500), 1.10-1.25x
-# at 80 (~575), 1.31-1.62x at 100 (~715), 3.6-3.8x at 400 and 5.6x at 2,800
-# (shared 2-vCPU host, Python 3.11, numpy 2.4)
-_BULK_CHARS = 512
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -280,11 +262,10 @@ def parse_edge_list(text: str) -> Graph:
     ``u v multiplicity``.  Raises `EdgeListError` carrying the offending
     line number.
 
-    Text whose first line is the header and whose remaining
-    ``_BULK_CHARS`` or more characters are ASCII digits, spaces and
-    newlines is parsed in bulk by numpy.  Any other text, and any text the
-    bulk parse cannot accept whole, is parsed line by line from the top,
-    which alone reports errors.
+    Text whose first line is the header and whose other characters are
+    ASCII digits, spaces and newlines is parsed in bulk by numpy.  Any
+    other text, and any text the bulk parse cannot accept whole, is parsed
+    line by line from the top, which alone reports errors.
     """
     g = _parse_bulk(text)
     return g if g is not None else _parse_lines(text)
@@ -292,10 +273,10 @@ def parse_edge_list(text: str) -> Graph:
 
 def _parse_bulk(text: str) -> Graph | None:
     """The graph of a plain edge list, or None to leave the text to
-    `_parse_lines`: when it is short, holds anything but digits, spaces and
-    newlines after its header line, or fails a line's check."""
+    `_parse_lines`: when it holds anything but digits, spaces and newlines
+    after its header line, or fails a line's check."""
     start = text.find("\n") + 1
-    if not start or len(text) - start < _BULK_CHARS or not text.isascii():
+    if not start or not text.isascii():
         return None
     # only spaces besides "n" and the count, as the line loop splits lines at
     # other whitespace (\v, \f, \x1c...); 18 digits stay below 2^63
@@ -323,7 +304,7 @@ def _parse_bulk(text: str) -> Graph | None:
     # a stable sort, whose code is a third the size of the default's
     keys = u * n + v
     order = np.argsort(keys, kind="stable")
-    runs = _run_starts(keys[order])
+    runs = np.flatnonzero(np.diff(keys[order], prepend=-1))  # where each key starts
     m = np.add.reduceat(m[order], runs)
     order = order[runs]
     return Graph._from_canonical(n, tuple(zip(u[order].tolist(), v[order].tolist(), m.tolist())))
@@ -333,45 +314,25 @@ def _parse_block(block: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """The edges ``u < v`` with multiplicity ``m`` on the lines of ``block``,
     whole lines of digits, spaces and newlines, as arrays ``u, v, m``; None
     when a line is not a valid edge on ``n`` vertices."""
-    data = np.frombuffer(block, np.uint8)
-    # token boundaries alternate start, end in the zero-padded digit mask
-    digit = np.zeros(len(data) + 2, bool)
-    np.greater_equal(data, ord("0"), out=digit[1:-1])
-    bounds = np.flatnonzero(digit[1:] != digit[:-1])
-    starts, ends = bounds[0::2], bounds[1::2]
-    if not len(starts):
-        return bounds, bounds, bounds
-    # each token's line, as the number of newlines before it
-    line = np.searchsorted(np.flatnonzero(data == ord("\n")), starts)
-    first = _run_starts(line)
-    count = np.append(first[1:], len(starts)) - first
-    width = int((ends - starts).max())
-    if width > 18 or count.min() < 2 or count.max() > 3:  # 10^18 - 1 < 2^63
+    # the body holds no sign, so a -1 ends each line; a token past int64
+    # reads as 2^63 - 1 (strtoll saturates), which the range and sum
+    # checks refuse
+    tokens = np.fromstring(block.replace(b"\n", b" -1 ") + b" -1", dtype=np.int64, sep=" ")
+    ends = np.flatnonzero(tokens < 0)
+    count = np.diff(ends, prepend=-1) - 1
+    first = (ends - count)[count > 0]  # blank lines hold no token
+    count = count[count > 0]
+    if not len(first):
+        return first, first, first
+    if count.min() < 2 or count.max() > 3:
         return None
-    # values by Horner's rule over the digits aligned at each token's end.
-    # Digit values follow a 0 pad, one place right of their bytes, and a
-    # place above a token's length reads the separator or pad before it: 0.
-    to_value = bytes.maketrans(b"0123456789 \n", bytes([*range(10), 0, 0]))
-    place = np.frombuffer(b"\0" + block.translate(to_value), np.uint8)
-    values = np.zeros(len(starts), np.int64)
-    for k in range(width - 1, -1, -1):
-        values = values * 10 + place[np.maximum(ends - k, starts)]
-    u, v = values[first], values[first + 1]
-    m = np.ones(len(first), np.int64)
-    three = count == 3
-    m[three] = values[first[three] + 2]
+    u, v = tokens[first], tokens[first + 1]
+    m = np.where(count == 3, tokens[first + 2], 1)
     u, v = np.minimum(u, v), np.maximum(u, v)
     # a self-loop leaves v - u = 0
     if v.max() >= n or (v - u).min() < 1 or m.min() < 1:
         return None
     return u, v, m
-
-
-def _run_starts(x: np.ndarray) -> np.ndarray:
-    """Indices where a sorted array starts a run of equal values."""
-    new = np.ones(len(x), bool)
-    np.not_equal(x[1:], x[:-1], out=new[1:])
-    return np.flatnonzero(new)
 
 
 def _parse_lines(text: str) -> Graph:

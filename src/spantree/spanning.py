@@ -345,10 +345,10 @@ def tau_bruteforce(g: Graph) -> int:
     n = g.n_vertices
     if n == 0:
         return 0
-    instances = g.edge_instances()
-    n_subsets = comb(len(instances), n - 1)
+    n_subsets = comb(g.n_edges, n - 1)
     if n_subsets > _BRUTE_FORCE_LIMIT:
         raise ValueError(
             f"{n_subsets} subsets exceed the enumeration budget of {_BRUTE_FORCE_LIMIT}"
         )
+    instances = [(u, v) for u, v, m in g.edges for _ in range(m)]  # parallel copies apart
     return sum(_connects(n, subset) for subset in combinations(instances, n - 1))

@@ -118,6 +118,25 @@ class TestTau:
         proc = capped_python("-m", "spantree", "tau", "--input", str(target))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
+    def test_out_of_memory_is_one_error_line(self, run, monkeypatch):
+        def exhausted(g):
+            raise MemoryError
+        monkeypatch.setattr(cli, "tau", exhausted)
+        assert run("tau", "--cycle", "7") == (2, "", "error: out of memory\n")
+
+    @pytest.mark.parametrize(
+        "argv,count", [("--cycle 1000000", 10**6), ("--flower 3,999997", 3 * 999997)]
+    )
+    def test_large_named_graph_under_address_space_cap(self, capped_python, argv, count):
+        # within the edge limit, but tau holds about 0.5 KB a vertex: near the cap
+        proc = capped_python("-m", "spantree", "tau", *argv.split())
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            assert (proc.stdout, proc.stderr) == (f"{count}\n", "")
+        else:
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     def test_json_and_csv(self, run):
         code, out, _ = run("tau", "--flower", "3,3", "--format", "json")
         assert code == 0 and json.loads(out) == {"tau": "9"}

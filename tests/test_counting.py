@@ -122,6 +122,9 @@ class TestBruteForce:
             tau_bruteforce(complete(9))
         with pytest.raises(TypeError):
             tau_bruteforce(complete(3), budget=10)
+        # refused from the edge count, before any parallel copy is listed
+        with pytest.raises(ValueError, match="budget of 5000000"):
+            tau_bruteforce(Graph(2, ((0, 1, 10**12),)))
 
     def test_too_few_edges(self):
         assert tau_bruteforce(Graph(3, ((0, 1),))) == 0

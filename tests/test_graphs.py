@@ -1,6 +1,5 @@
 import random
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +24,6 @@ from oracles import degree, identify, is_connected, random_multigraph
 
 def connects(g):
     return graphs._connects(g.n_vertices, ((u, v) for u, v, _ in g.edges))
-
-
-def open_gate():
-    """Offer every edge list with a header line to the bulk parser."""
-    return mock.patch.object(graphs, "_BULK_CHARS", 0)
 
 
 def outcome(parse, text):
@@ -197,6 +191,8 @@ class TestDeleteContract:
 
 
 class TestEdgeListFormat:
+    parse = staticmethod(parse_edge_list)
+
     def test_header_and_order(self):
         text = format_edge_list(Graph(3, ((2, 0), (0, 1, 2))))
         assert text == "n 3\n0 1 2\n0 2\n"
@@ -206,16 +202,16 @@ class TestEdgeListFormat:
         for _ in range(200):
             g = random_multigraph(rng)
             text = format_edge_list(g)
-            assert parse_edge_list(text) == g
-            assert format_edge_list(parse_edge_list(text)) == text
+            assert self.parse(text) == g
+            assert format_edge_list(self.parse(text)) == text
 
     def test_comments_and_blanks_skipped(self):
-        g = parse_edge_list("# header\n\nn 3\n# inner\n0 1\n\n1 2\n")
+        g = self.parse("# header\n\nn 3\n# inner\n0 1\n\n1 2\n")
         assert g == path(3)
 
     def test_empty_input(self):
         with pytest.raises(EdgeListError):
-            parse_edge_list("")
+            self.parse("")
 
     @pytest.mark.parametrize(
         "text,line_no",
@@ -230,7 +226,7 @@ class TestEdgeListFormat:
     )
     def test_errors_carry_line_numbers(self, text, line_no):
         with pytest.raises(EdgeListError) as exc_info:
-            parse_edge_list(text)
+            self.parse(text)
         assert exc_info.value.line_no == line_no
 
     @pytest.mark.parametrize(
@@ -253,17 +249,18 @@ class TestEdgeListFormat:
     )
     def test_error_messages(self, text, message):
         with pytest.raises(EdgeListError) as exc_info:
-            parse_edge_list(text)
+            self.parse(text)
         assert str(exc_info.value) == message
 
 
 class TestEdgeListFormatBulk(TestEdgeListFormat):
-    """The edge-list cases again, with every text offered to the bulk parser."""
+    """The edge-list cases again, with every line padded by trailing spaces
+    into a 256 KiB block of the bulk parser of its own.  The padding changes
+    neither a graph nor an error message, which strips its line."""
 
-    @pytest.fixture(autouse=True)
-    def gate_open(self):
-        with open_gate():
-            yield
+    @staticmethod
+    def parse(text):
+        return parse_edge_list(text.replace("\n", " " * (1 << 18) + "\n"))
 
 
 # one-line edits that leave the bulk parser or change what a line means:
@@ -295,7 +292,7 @@ _HEADERS = (
 
 
 class TestBulkParse:
-    """The bulk parser against the line loop on bodies above its gate."""
+    """The bulk parser against the line loop."""
 
     @staticmethod
     def check_as_loop(n, seed, header, edits):
@@ -309,7 +306,6 @@ class TestBulkParse:
         for i, name in edits:
             lines[i] = _EDITS[name](lines[i])
         text = header.format(n=n) + "\n" + "\n".join(lines) + "\n"
-        assert len(text) - len(header.format(n=n)) > graphs._BULK_CHARS
         got = outcome(parse_edge_list, text)
         assert got == outcome(graphs._parse_lines, text)
         if isinstance(got, Graph):
@@ -338,9 +334,37 @@ class TestBulkParse:
     def test_plain_body_takes_the_bulk_path(self):
         g = random_multigraph(random.Random(3), max_vertices=40, max_edges=400)
         text = format_edge_list(g)
-        assert len(text) > graphs._BULK_CHARS
         assert graphs._parse_bulk(text) == g
         assert graphs._parse_bulk(text.rstrip("\n")) == g  # no final newline
+
+    def test_short_bodies_take_the_bulk_path(self):
+        assert graphs._parse_bulk("n 3\n0 1\n1 2\n") == path(3)
+        assert graphs._parse_bulk("n 3\n\n  \n\n") == Graph(3)
+
+    def test_token_past_int64_goes_to_the_loop(self):
+        # strtoll saturates at 2^63 - 1, which the sum and range checks refuse
+        text = "n 2\n0 1 18446744073709551617\n"
+        assert graphs._parse_bulk(text) is None
+        assert parse_edge_list(text).edges == ((0, 1, 2**64 + 1),)
+        text = "n 2\n0 18446744073709551617\n"
+        assert graphs._parse_bulk(text) is None
+        with pytest.raises(EdgeListError) as exc_info:
+            parse_edge_list(text)
+        assert str(exc_info.value) == "line 2: edge (0, 18446744073709551617) outside vertex range"
+
+    def test_blank_lines_parse_in_bounded_memory(self, capped_python):
+        # the blocks keep the token arrays small: a whole-text tokenizer
+        # would take about 270 MB here
+        proc = capped_python("-c", (
+            "import resource\n"
+            "from spantree.graphs import _parse_bulk\n"
+            "text = 'n 3\\n' + '\\n' * ((8 << 20) - 4)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "g = _parse_bulk(text)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(g.n_vertices, g.edges, after - before < 64 << 10)"  # ru_maxrss in KiB
+        ))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3 () True\n", "")
 
     def test_eight_mib_under_address_space_cap(self, capped_python, tmp_path):
         # 4 copies of K_670's pairs in 4 spellings: 7.9 MiB, multiplicity 1+2+3+1
@@ -383,8 +407,6 @@ class TestTrustedConstruction:
         text = "\n".join([f"n {n}", *lines]) + "\n"
         parsed = [tuple(map(int, line.split())) for line in lines]
         assert parse_edge_list(text) == Graph(n, tuple(parsed))
-        with open_gate():
-            assert parse_edge_list(text) == Graph(n, tuple(parsed))
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(3, 60))
