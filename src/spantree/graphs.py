@@ -65,17 +65,22 @@ class Graph:
     vertex pair with ``u < v``, sorted lexicographically.  The constructor
     accepts ``(u, v)`` pairs (multiplicity 1) or ``(u, v, m)`` triples with
     endpoints in either order and normalizes; repeated entries for the same
-    pair have their multiplicities summed.  Equality and hashing follow the
-    canonical form.
+    pair have their multiplicities summed.  The vertex count, endpoints and
+    multiplicities may be any integers, numpy ones included, and are stored
+    as ``int``.  Equality and hashing follow the canonical form.
     """
 
     n_vertices: int
     edges: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        n = self.n_vertices
+        try:
+            n = operator.index(self.n_vertices)
+        except TypeError:
+            raise ValueError(f"vertex count {self.n_vertices!r} is not an integer") from None
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        object.__setattr__(self, "n_vertices", n)
         merged: dict[int, int] = {}  # keyed by u * n + v, u < v
         for entry in self.edges:
             if len(entry) == 2:

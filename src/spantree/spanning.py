@@ -15,9 +15,11 @@ are dicts, and a step rewrites only the pivot's neighbour rows.  Every other
 row keeps the step of its last update and is rescaled when next touched;
 the rescale divides exactly because every entry of the active block is a
 minor of the integer matrix.  Once the next pivot row is dense, `_finish`
-takes the active block: below _MODULAR_ROWS rows to `_bareiss`, a
-list-of-lists Bareiss loop, from there on to `_det_mod`: left-looking LDL^T
-elimination of its residues modulo a batch of primes.  Neither swaps rows.
+takes the active block as a numpy array: below _MODULAR_ROWS rows to
+`_bareiss`, a list-of-lists Bareiss loop, from there on to `_det_mod`:
+left-looking LDL^T elimination of its residues modulo a batch of primes.
+Neither swaps rows.  A graph dense from the start skips the sparse stage:
+its struck Laplacian is built as one array straight from the edges.
 
 Why the multimodular finish is exact.  Let B be the k x k active block left
 after pivots p_1..p_t, and prev = p_t (1 when nothing was eliminated).  B /
@@ -40,13 +42,17 @@ that column modulo p, would vanish.  So only the finitely many prime
 factors of B's nonzero leading minors are skipped, and further primes fix
 τ; if the primes below 2^26 run out first, `_bareiss` finishes the block.
 
-Why int64 does not overflow.  Entries of B beyond int64 (large
-multiplicities, or minors after a long sparse stage) are reduced modulo
-each prime as Python ints first, so every working entry starts in [0, p)
-with p < 2^26, and each stored entry is reduced again.  A column update
-subtracts from residues sums of at most _REDUCE_EVERY = 2^10 products of
-two residues, each below 2^52, and reduces the result before the next
-such sum.  So every intermediate value lies in (-2^62, 2^26).
+Why int64 does not overflow.  An int64 block whose entries lie in
+(-2^62, 2^62) is eliminated from its raw entries; any other block (large
+multiplicities, or minors after a long sparse stage) is first reduced
+modulo each prime, as Python ints where it holds them, so its entries
+start in [0, p) with p < 2^26.  A column update subtracts sums of at most
+_REDUCE_EVERY = 2^10 products of two residues, each below 2^52, so each sum
+is below 2^62, and reduces the result before the next such sum.  Each
+column is reduced with its first update (column 0, which has none, alone),
+and every multiplier and stored entry is reduced, so every product is one
+of residues.  A raw entry less one sum lies in (-2^63, 2^62), a residue
+less one sum in (-2^62, 2^26): no intermediate value leaves int64.
 """
 
 from __future__ import annotations
@@ -113,6 +119,30 @@ def laplacian(g: Graph) -> IntMatrix:
     return mat
 
 
+def _struck_laplacian(g: Graph) -> np.ndarray:
+    """The Laplacian of ``g`` with vertex 0's row and column struck.
+
+    An int64 array when every multiplicity is below 2^62 // n, so each
+    diagonal entry, a sum of at most n - 1 of them, stays below 2^62;
+    otherwise an object array of Python ints, built by the same code.
+    ``g`` has at least one edge.
+    """
+    n = g.n_vertices
+    count = 3 * len(g.edges)
+    try:
+        flat = np.fromiter(chain.from_iterable(g.edges), np.int64, count)
+    except OverflowError:
+        flat = None
+    if flat is None or flat[2::3].max() >= (1 << 62) // n:
+        flat = np.fromiter(chain.from_iterable(g.edges), object, count)
+    u, v, m = flat.reshape(-1, 3).T
+    u, v = u.astype(np.intp), v.astype(np.intp)
+    lap = np.zeros((n, n), dtype=flat.dtype)
+    lap[u, v] = lap[v, u] = -m
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return lap[1:, 1:]
+
+
 def _bareiss(m: IntMatrix, prev: int) -> int:
     """Determinant from a nonempty Bareiss block, eliminated in place.
 
@@ -138,26 +168,31 @@ def _bareiss(m: IntMatrix, prev: int) -> int:
     return m[k - 1][k - 1]
 
 
-def _finish(block: IntMatrix, prev: int) -> int:
+def _finish(mat: np.ndarray, prev: int) -> int:
     """τ from the dense active block of a struck Laplacian.
 
-    ``block`` and ``prev`` are as for `_bareiss`.  Blocks of fewer than
-    _MODULAR_ROWS rows go to `_bareiss`.  Larger ones go to `_det_mod`,
-    in chunks of at most _CHUNK_ENTRIES int64 entries, modulo primes that
-    do not divide ``prev``.  Each chunk takes only as many primes as the
-    Hadamard bound on τ still needs; a prime `_det_mod` finds unlucky is
-    dropped and the next chunk draws further primes, until the primes
-    combined exceed the bound.  The residues of τ are then combined by the
-    Chinese remainder theorem (the argument is in the module docstring).
+    ``mat`` is the block as an int64 array, or an object array of Python
+    ints when its entries do not fit int64; ``prev`` is as for `_bareiss`.
+    Blocks of fewer than _MODULAR_ROWS rows go to `_bareiss` as lists.
+    Larger ones go to `_det_mod`, in chunks of at most _CHUNK_ENTRIES int64
+    entries, modulo primes that do not divide ``prev``.  An int64 block
+    whose entries lie strictly inside ±2^62 is copied into each chunk as it
+    is, and `_det_mod` reduces each column on first touch; any other block
+    is reduced modulo every prime of the chunk first.  Each chunk takes only
+    as many primes as the Hadamard bound on τ still needs; a prime
+    `_det_mod` finds unlucky is dropped and the next chunk draws further
+    primes, until the primes combined exceed the bound.  The residues of τ
+    are then combined by the Chinese remainder theorem (the argument is in
+    the module docstring).
     """
-    k = len(block)
+    k = len(mat)
     if k < _MODULAR_ROWS:
-        return _bareiss(block, prev)
-    bound = prod(block[i][i] for i in range(k)) // prev ** (k - 1)
-    try:
-        mat = np.array(block, dtype=np.int64)
-    except OverflowError:  # entries beyond int64 are reduced as Python ints
-        mat = np.array(block, dtype=object)
+        return _bareiss(mat.tolist(), prev)
+    diag = mat.diagonal().tolist()
+    bound = prod(diag) // prev ** (k - 1)
+    # mat / prev is positive semidefinite, so no entry exceeds the largest
+    # diagonal entry in absolute value
+    raw = mat.dtype == np.int64 and max(diag) < 1 << 62
     per_chunk = max(1, _CHUNK_ENTRIES // (k * k))
     supply = (p for p in _primes() if prev % p)
     value, modulus = 0, 1
@@ -169,11 +204,14 @@ def _finish(block: IntMatrix, prev: int) -> int:
             if cover > bound or len(chunk) == per_chunk:
                 break
         if not chunk:  # the bound outgrows every prime below 2^26, about 2^(9.7 * 10^7)
-            return _bareiss(block, prev)
-        # residues straight into int64; object entries are reduced a buffer
-        # at a time, so no object array of the chunk's size is built
+            return _bareiss(mat.tolist(), prev)
         a = np.empty((len(chunk), k, k), dtype=np.int64)
-        np.remainder(mat, np.array(chunk, dtype=np.int64)[:, None, None], out=a, casting="unsafe")
+        if raw:
+            a[:] = mat
+        else:
+            # residues straight into int64; object entries are reduced a
+            # buffer at a time, so no object array of the chunk's size is built
+            np.remainder(mat, np.array(chunk, dtype=np.int64)[:, None, None], out=a, casting="unsafe")
         for p, d in zip(chunk, _det_mod(a, chunk)):
             if d is not None:
                 r = d * pow(prev, 1 - k, p)  # τ mod p, up to a multiple of p
@@ -185,17 +223,23 @@ def _finish(block: IntMatrix, prev: int) -> int:
 def _det_mod(a: np.ndarray, primes: list[int]) -> list[int | None]:
     """Determinant of ``a[i]`` modulo ``primes[i]``, eliminating ``a`` in place.
 
-    ``a`` holds symmetric matrices of residues in [0, p).  Column c is
-    brought up to date by one batched product of the multipliers left of
-    its diagonal with the unscaled earlier columns stored above it, reduced
-    after every _REDUCE_EVERY products (see the module docstring), then
-    stored unscaled in row c and scaled by the pivot's inverse in column c.
-    No rows are swapped: a zero pivot over a zero column gives residue 0,
-    over a nonzero one it makes the prime unlucky, with result None.
+    ``a`` holds symmetric int64 matrices whose entries lie in (-2^62, 2^62):
+    residues, or the raw entries of one block.  Column c is brought up to
+    date by one batched product of the multipliers left of its diagonal
+    with the unscaled earlier columns stored above it, reduced after every
+    _REDUCE_EVERY products (see the module docstring), so the first
+    reduction of a raw entry comes with its column's first update; column 0
+    has none and is reduced alone.  It is then stored unscaled in row c,
+    over raw entries never read, and scaled by the pivot's inverse in
+    column c.  No rows are swapped: a zero pivot over a zero column gives
+    residue 0, over a nonzero one it makes the prime unlucky, with result
+    None.
     """
     n_p, k, _ = a.shape
     mods = np.array(primes, dtype=np.int64)[:, None]
     det: list[int | None] = [1] * n_p
+    first = a[:, :, 0]
+    np.remainder(first, mods, out=first)
     for c in range(k):
         col = a[:, c:, c]
         for t in range(0, c, _REDUCE_EVERY):
@@ -264,26 +308,30 @@ def tau(g: Graph) -> int:
     determinant vanishes.
 
     Once the next pivot row has a nonzero in at least 1/_DENSE_SHARE of
-    the active columns, the active rows are brought up to date and handed,
-    with the last pivot, to `_finish`.  Every row holds at least its
-    diagonal, so the sparse stage always ends this way, at the latest with
-    _DENSE_SHARE rows left.  A graph that passes the test at the start, such
-    as K_n, goes to `_finish` without building dicts.
+    the active columns, the active rows are brought up to date and handed
+    as an array, int64 or else of Python ints, with the last pivot, to
+    `_finish`.  Every row holds at least its diagonal, so the sparse stage
+    always ends this way, at the latest with _DENSE_SHARE rows left.
+
+    A graph that passes the test at the start, such as K_n, goes to
+    `_finish` without building dicts: its struck Laplacian is built as one
+    array from the edges, and its row sizes are counted there.  Only a graph
+    with enough edges for the test to pass builds that array, so a sparse
+    graph such as a long cycle allocates nothing of size n^2.
     """
     n = g.n_vertices
     if n <= 1:
         return n
     if len(g.edges) < n - 1:
         return 0
-    # vertex 0 is struck; size[v] counts the nonzeros of row v
-    size = [1] * n
-    for u, v, _ in g.edges:
-        if u:  # u < v, so an edge to vertex 0 adds only to v's diagonal
-            size[u] += 1
-            size[v] += 1
     active = n - 1
-    if _DENSE_SHARE * min(size[1:]) >= active:
-        return _finish([row[1:] for row in laplacian(g)[1:]], 1)
+    # a row of the struck Laplacian has at most 1 + (its vertex's neighbours)
+    # nonzeros, so the rows hold at most n - 1 + 2|E| in all; if the smallest
+    # holds active / _DENSE_SHARE, then active^2 <= _DENSE_SHARE * that sum
+    if active * (active - _DENSE_SHARE) <= 2 * _DENSE_SHARE * len(g.edges):
+        block = _struck_laplacian(g)
+        if _DENSE_SHARE * np.count_nonzero(block, axis=1).min() >= active:
+            return _finish(block, 1)
 
     rows: list[dict[int, int] | None] = [{v: 0} for v in range(n)]
     for u, v, m in g.edges:
@@ -294,7 +342,7 @@ def tau(g: Graph) -> int:
     rows[0] = None
     step = [0] * n  # the step as of which each row is stored
     pivots = [1]  # pivots[s] is the pivot of step s
-    heap = [(size[v], v) for v in range(1, n)]
+    heap = [(len(rows[v]), v) for v in range(1, n)]
     heapq.heapify(heap)
     while True:
         count, v = heapq.heappop(heap)
@@ -313,7 +361,11 @@ def tau(g: Graph) -> int:
                 for j, x in rows[i].items():
                     line[col[j]] = x * prev // base
                 block.append(line)
-            return _finish(block, prev)
+            try:
+                mat = np.array(block, dtype=np.int64)
+            except OverflowError:  # entries beyond int64 stay Python ints
+                mat = np.array(block, dtype=object)
+            return _finish(mat, prev)
         rows[v] = None
         active -= 1
         base = pivots[step[v]]

@@ -37,6 +37,23 @@ class TestLaplacian:
         lap = laplacian(Graph(2, ((0, 1, 3),)))
         assert lap == [[3, -3], [-3, 3]]
 
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_array_builder_matches(self, wide):
+        """`_struck_laplacian` is the struck `laplacian`, int64 while every
+        multiplicity is below 2^62 // n and an object array from there on."""
+        rng = random.Random(47)
+        for _ in range(60):
+            n = rng.randint(2, 40)
+            pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.5] or [(0, 1)]
+            top = (2**62 // n, 2**62 // n + 2, 2**63, 2**70) if wide else (1, 3, 2**55)
+            edges = tuple((u, v, rng.randint(1, rng.choice(top))) for u, v in pairs)
+            if wide:
+                edges += ((*pairs[0], rng.choice(top)),)  # one multiplicity >= 2^62 // n
+            g = Graph(n, edges)
+            block = spanning._struck_laplacian(g)
+            assert block.dtype == (object if wide else np.int64)
+            assert block.tolist() == principal_minor(laplacian(g), 0)
+
 
 class TestDeterminant:
     """The general determinant oracle that ``dense_tau`` rests on."""
@@ -475,10 +492,95 @@ class TestModularFinish:
             assert len(shapes) == 1
             assert np.prod(shapes[0]) <= spanning._CHUNK_ENTRIES
 
+    def test_dense_from_the_start(self, monkeypatch):
+        """K_90, the tripled K_90 and a p = 0.55 multigraph on 35 vertices
+        reach `_finish` whole (prev 1, no sparse step) as int64 arrays,
+        without the list `laplacian`."""
+        finishes = []
+
+        def spy(mat, prev):
+            finishes.append((mat.shape, mat.dtype, prev))
+            return finish(mat, prev)
+
+        def no_lists(g):
+            raise AssertionError("laplacian called")
+
+        finish = spanning._finish
+        monkeypatch.setattr(spanning, "_finish", spy)
+        monkeypatch.setattr(spanning, "laplacian", no_lists)
+        n, m = 90, 3
+        tripled = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
+        rng = random.Random(59)
+        multi = Graph(35, tuple(
+            (u, v, rng.randint(1, 3)) for u, v in combinations(range(35), 2) if rng.random() < 0.55
+        ))
+        for g in (complete(n), tripled, multi):
+            finishes.clear()
+            tau(g)
+            k = g.n_vertices - 1
+            assert finishes == [((k, k), np.int64, 1)]
+
+    def test_sparse_graphs_build_no_array(self, monkeypatch):
+        """A cycle or a path has too few edges for the dense test, so no
+        n x n array is built for it."""
+
+        def no_array(g):
+            raise AssertionError("array built")
+
+        monkeypatch.setattr(spanning, "_struck_laplacian", no_array)
+        assert tau(cycle(2000)) == 2000 and tau(path(2000)) == 1
+
     def test_int64_bound(self):
-        """A residue less a sum of _REDUCE_EVERY products of residues fits int64."""
+        """A residue, or a raw entry inside ±2^62, less a sum of
+        _REDUCE_EVERY products of residues fits int64."""
         top = 2**spanning._PRIME_BITS
         assert spanning._REDUCE_EVERY * (top - 1) ** 2 + top < 2**63
+        assert -(2**62 - 1) - spanning._REDUCE_EVERY * (top - 1) ** 2 >= -(2**63)
+
+    def test_det_mod_raw_entries(self):
+        """Unreduced int64 entries inside ±2^62 give the residues of the
+        determinant, each column reduced on its first touch."""
+        rng = random.Random(53)
+        supply = spanning._primes()
+        primes = [next(supply), next(supply), 13, 7]
+        edge = 2**62 - 1
+        for _ in range(100):
+            k = rng.randint(1, 8)
+            mat = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i, k):
+                    x = rng.choice((edge, -edge, rng.randint(-edge, edge)))
+                    mat[i][j] = mat[j][i] = x
+            a = np.array([mat] * len(primes), dtype=np.int64)
+            det = det_bareiss(mat)
+            minors = [det_bareiss([row[:j] for row in mat[:j]]) for j in range(1, k)]
+            for p, d in zip(primes, spanning._det_mod(a, primes)):
+                if d is None:
+                    assert any(m % p == 0 for m in minors)
+                else:
+                    assert d == det % p
+        # a raw first pivot that is a nonzero multiple of the first prime
+        first = primes[0]
+        mat = [[first * (2**62 // first - 1), 5], [5, 1]]
+        a = np.array([mat] * 2, dtype=np.int64)
+        assert spanning._det_mod(a, primes[:2]) == [None, det_bareiss(mat) % primes[1]]
+
+    def test_uniform_k30_raw_and_reduced(self, monkeypatch):
+        """Multiplicity 2^56 keeps the int64 block raw; 2^62 // 30 + 1
+        makes it an object block, reduced before `_det_mod`."""
+        dtypes = []
+
+        def spy(mat, prev):
+            dtypes.append(mat.dtype)
+            return finish(mat, prev)
+
+        finish = spanning._finish
+        monkeypatch.setattr(spanning, "_finish", spy)
+        n = 30
+        for m, dtype in ((2**56, np.int64), (2**62 // n + 1, object)):
+            g = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
+            assert tau(g) == m ** (n - 1) * n ** (n - 2)
+            assert dtypes.pop() == dtype
 
     def test_large_complete_graphs(self):
         assert tau(complete(150)) == 150**148

@@ -17,6 +17,7 @@ from spantree import (
     format_edge_list,
     parse_edge_list,
     path,
+    tau,
 )
 
 from oracles import degree, identify, is_connected, random_multigraph
@@ -60,6 +61,18 @@ class TestConstruction:
     def test_non_integer_entries_rejected(self, entry):
         with pytest.raises(ValueError, match=f"edge entry {re.escape(repr(entry))}"):
             Graph(3, (entry, (1, 2)))
+
+    @pytest.mark.parametrize("count", [3.0, "3", None, 3 + 0j])
+    def test_non_integer_vertex_count_rejected(self, count):
+        with pytest.raises(ValueError, match=f"vertex count {re.escape(repr(count))}"):
+            Graph(count, ((0, 1), (1, 2)))
+
+    def test_integer_vertex_counts_stored_as_int(self):
+        for count in (np.int64(3), np.uint8(3)):
+            g = Graph(count, ((0, 1), (1, 2)))
+            assert type(g.n_vertices) is int and g == path(3)
+        g = Graph(True)
+        assert type(g.n_vertices) is int and tau(g) == 1 and type(tau(g)) is int
 
     def test_numpy_integers_stored_as_int(self):
         g = Graph(3, ((np.int64(1), np.int32(0)), (1, np.uint8(2), np.int64(2))))
