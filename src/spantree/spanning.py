@@ -17,9 +17,10 @@ the rescale divides exactly because every entry of the active block is a
 minor of the integer matrix.  Once the next pivot row is dense, `_finish`
 takes the active block as a numpy array: below _MODULAR_ROWS rows to
 `_bareiss`, a list-of-lists Bareiss loop, from there on to `_det_mod`:
-left-looking LDL^T elimination of its residues modulo a batch of primes.
-Neither swaps rows.  A graph dense from the start skips the sparse stage:
-its struck Laplacian is built as one array straight from the edges.
+left-looking block LDL^T elimination of its residues modulo a batch of
+primes, two columns at a time.  Neither swaps rows.  A graph dense from
+the start skips the sparse stage: its struck Laplacian is built as one
+array straight from the edges.
 
 Why the multimodular finish is exact.  Let B be the k x k active block left
 after pivots p_1..p_t, and prev = p_t (1 when nothing was eliminated).  B /
@@ -32,27 +33,41 @@ prime p that does not divide prev, τ = det(B) * prev^-(k-1) mod p, and the
 residues for primes whose product exceeds the bound fix τ by the Chinese
 remainder theorem.
 
-Without row swaps a pivot can vanish modulo p.  Pivot c is M_(c+1) / M_c
-modulo p, where M_j is the leading principal minor of B of order j.  If its
-column vanishes too, the trailing Schur complement has a zero row modulo
-p, so det(B) ≡ 0.  Otherwise the prime is unlucky and skipped.  It divides
-M_(c+1), which is nonzero: were it 0, the rational Schur complement would
-be positive semidefinite with a zero diagonal entry, so its column, and
-that column modulo p, would vanish.  So only the finitely many prime
-factors of B's nonzero leading minors are skipped, and further primes fix
-τ; if the primes below 2^26 run out first, `_bareiss` finishes the block.
+Without row swaps a pivot block can be singular modulo p.  `_det_mod`
+pivots on the 2 x 2 blocks of columns c, c+1 for even c, and on the last
+column alone when k is odd; a 1 x 1 pivot there that vanishes makes det(B)
+≡ 0.  The determinant d of the block at c is M_(c+2) / M_c modulo p, where
+M_j is the leading principal minor of B of order j.  Suppose d ≡ 0.  If
+the block's two columns of the trailing Schur complement (rows c..k-1)
+are dependent modulo p, that complement is singular modulo p, so det(B) ≡
+0; they are tested by the 2 x 2 minors of every row with one nonzero row.
+Otherwise the prime is unlucky and skipped.  It divides M_(c+2), which is
+nonzero: were it 0, the rational Schur complement would be positive
+semidefinite with a singular 2 x 2 principal block, so it would send some
+(x0, x1) ≠ 0, extended by zeros, to zero.  Its two columns would then be
+dependent, and so would their residues, since their denominators are
+products of earlier pivots, units modulo p.  So only the finitely many
+prime factors of B's nonzero leading minors of even order are skipped, and
+further primes fix τ; if the primes below 2^26 run out first, `_bareiss`
+finishes the block.  A disconnected graph gives residue 0 for every prime.
 
 Why int64 does not overflow.  An int64 block whose entries lie in
 (-2^62, 2^62) is eliminated from its raw entries; any other block (large
 multiplicities, or minors after a long sparse stage) is first reduced
 modulo each prime, as Python ints where it holds them, so its entries
-start in [0, p) with p < 2^26.  A column update subtracts sums of at most
-_REDUCE_EVERY = 2^10 products of two residues, each below 2^52, so each sum
-is below 2^62, and reduces the result before the next such sum.  Each
-column is reduced with its first update (column 0, which has none, alone),
-and every multiplier and stored entry is reduced, so every product is one
-of residues.  A raw entry less one sum lies in (-2^63, 2^62), a residue
-less one sum in (-2^62, 2^26): no intermediate value leaves int64.
+start in [0, p) with p < 2^26.  The update of a pair's two columns
+subtracts sums of at most _REDUCE_EVERY = 2^10 products of two residues,
+each below 2^52, so each sum is below 2^62, and reduces the result before
+the next such sum.  Both columns are reduced with their first update (the
+first pair, which has none, alone), the raw upper entry of the pivot
+block, the twin of the lower one, with them.  The pivot block's
+determinant and the dependence test's minors are differences of two
+products of residues, in (-2^52, 2^52); each entry of the block's inverse
+is a product of two residues, reduced; each scaled multiplier is a sum of
+two such products, below 2^53, reduced; every stored entry is a residue.
+So every product is one of residues.  A raw entry less one sum lies in
+(-2^63, 2^62), a residue less one sum in (-2^62, 2^26): no intermediate
+value leaves int64.
 """
 
 from __future__ import annotations
@@ -77,12 +92,13 @@ IntMatrix = list[list[int]]
 # nonzero in at least 1/_DENSE_SHARE of the active columns
 _DENSE_SHARE = 4
 # dense blocks with fewer rows are finished by `_bareiss`, larger ones
-# modulo primes.  They cross at 20 rows: on K_(k+1) and 5 multigraphs
-# (edge probability 0.8, multiplicities 1-3) per k, seeds 1-3, `_bareiss`
-# took 0.81-0.83x the modular time at k = 18, 0.95-1.04x at 19,
-# 1.12-1.17x at 20 (modular faster in 9 of 10 pairs for each seed),
-# 1.19-1.36x at 22 and 1.37-1.48x at 24
-_MODULAR_ROWS = 20
+# modulo primes.  They cross at 18 rows: on K_(k+1) and 5 multigraphs
+# (edge probability 0.8, multiplicities 1-3) per k, seeds 1-3, medians of
+# 10 alternating pairs in two sets, `_bareiss` took 0.76-0.87x the modular
+# time at k = 15, 0.98-1.04x at 16, 0.92-1.06x at 17, 1.21-1.30x at 18
+# (modular faster in 8-10 of 10 pairs for each seed and set), 1.49-1.57x
+# at 20, 1.73-1.84x at 22 and 2.05-2.26x at 24
+_MODULAR_ROWS = 18
 # the primes lie below 2^_PRIME_BITS, so a product of two residues is < 2^52
 _PRIME_BITS = 26
 # primes are sieved in windows of this many consecutive integers
@@ -96,8 +112,8 @@ _PRIME_WINDOW = 1 << 14
 # 218 (295) / 141 (181) / 145 (200) ms, K_300 703 (960) / 597 (931) /
 # 675 (936) ms; peak RSS 37 / 40 / 57 MB
 _CHUNK_ENTRIES = 1 << 18
-# products summed between reductions of a column; below 2^11 each sum
-# stays inside int64 (see the module docstring)
+# products summed between reductions of a pair's columns; below 2^11 each
+# sum stays inside int64 (see the module docstring)
 _REDUCE_EVERY = 1 << 10
 # `tau_bruteforce` refuses graphs with more (n-1)-edge subsets than this
 _BRUTE_FORCE_LIMIT = 5_000_000
@@ -177,13 +193,14 @@ def _finish(mat: np.ndarray, prev: int) -> int:
     Larger ones go to `_det_mod`, in chunks of at most _CHUNK_ENTRIES int64
     entries, modulo primes that do not divide ``prev``.  An int64 block
     whose entries lie strictly inside ±2^62 is copied into each chunk as it
-    is, and `_det_mod` reduces each column on first touch; any other block
-    is reduced modulo every prime of the chunk first.  Each chunk takes only
-    as many primes as the Hadamard bound on τ still needs; a prime
-    `_det_mod` finds unlucky is dropped and the next chunk draws further
-    primes, until the primes combined exceed the bound.  The residues of τ
-    are then combined by the Chinese remainder theorem (the argument is in
-    the module docstring).
+    is, and `_det_mod` reduces each pair of columns on first touch; any
+    other block is reduced modulo every prime of the chunk first.  Each
+    chunk takes only as many primes as the Hadamard bound on τ still needs;
+    a prime `_det_mod` finds unlucky (one dividing a nonzero leading minor
+    of even order) is dropped and the next chunk draws further primes,
+    until the primes combined exceed the bound.  The residues of τ are then
+    combined by the Chinese remainder theorem (the argument is in the
+    module docstring).
     """
     k = len(mat)
     if k < _MODULAR_ROWS:
@@ -224,40 +241,53 @@ def _det_mod(a: np.ndarray, primes: list[int]) -> list[int | None]:
     """Determinant of ``a[i]`` modulo ``primes[i]``, eliminating ``a`` in place.
 
     ``a`` holds symmetric int64 matrices whose entries lie in (-2^62, 2^62):
-    residues, or the raw entries of one block.  Column c is brought up to
-    date by one batched product of the multipliers left of its diagonal
-    with the unscaled earlier columns stored above it, reduced after every
-    _REDUCE_EVERY products (see the module docstring), so the first
-    reduction of a raw entry comes with its column's first update; column 0
-    has none and is reduced alone.  It is then stored unscaled in row c,
-    over raw entries never read, and scaled by the pivot's inverse in
-    column c.  No rows are swapped: a zero pivot over a zero column gives
-    residue 0, over a nonzero one it makes the prime unlucky, with result
-    None.
+    residues, or the raw entries of one block.  Columns are taken in pairs
+    c, c + 1, the last alone when k is odd.  Rows c.. of a pair are brought
+    up to date by one batched product of the multipliers left of its
+    diagonal with the unscaled earlier columns stored above it, reduced
+    after every _REDUCE_EVERY products (see the module docstring), so the
+    first reduction of a raw entry, the upper entry at (c, c + 1) among
+    them, comes with its pair's first update; the first pair has none and
+    is reduced alone.  The determinant d of the 2 x 2 pivot block D is the
+    step's factor of the residue.  The rows below D are stored unscaled in
+    rows c and c + 1, over raw entries never read, and times D^-1 = adj(D) *
+    d^-1, one modular inverse per prime, in columns c and c + 1.  No rows
+    are swapped: d ≡ 0 over two dependent columns gives residue 0, over
+    independent ones it makes the prime unlucky, with result None.
     """
     n_p, k, _ = a.shape
-    mods = np.array(primes, dtype=np.int64)[:, None]
+    mods = np.array(primes, dtype=np.int64)[:, None, None]
     det: list[int | None] = [1] * n_p
-    first = a[:, :, 0]
+    signs = np.array([[1, -1], [-1, 1]])
+    first = a[:, :, :2]
     np.remainder(first, mods, out=first)
-    for c in range(k):
-        col = a[:, c:, c]
+    for c in range(0, k, 2):
+        panel = a[:, c:, c : c + 2]
         for t in range(0, c, _REDUCE_EVERY):
             e = min(t + _REDUCE_EVERY, c)
-            col -= np.matmul(a[:, c:, t:e], a[:, t:e, c, None])[..., 0]
-            np.remainder(col, mods, out=col)
-        pivots = col[:, 0].tolist()
+            panel -= np.matmul(a[:, c:, t:e], a[:, t:e, c : c + 2])
+            np.remainder(panel, mods, out=panel)
+        if c == k - 1:  # k is odd: the last column is a 1 x 1 pivot
+            return [d * x % p if d else d for d, x, p in zip(det, panel[:, 0, 0].tolist(), primes)]
+        alpha, beta, delta = panel[:, 0, 0], panel[:, 1, 0], panel[:, 1, 1]
+        pivots = ((alpha * delta - beta * beta) % mods[:, 0, 0]).tolist()
         if 0 in pivots:
-            nonzero = col.any(axis=1).tolist()
-            det = [None if d and nz and not x else d for d, x, nz in zip(det, pivots, nonzero)]
+            # the columns are dependent iff every row's 2 x 2 minor with the
+            # first nonzero row vanishes (all of them, if there is none)
+            lead = panel[np.arange(n_p), panel.any(axis=2).argmax(axis=1)]
+            minors = panel[:, :, 0] * lead[:, 1, None] - panel[:, :, 1] * lead[:, 0, None]
+            free = (minors % mods[:, 0]).any(axis=1).tolist()
+            det = [None if d and f and not x else d for d, x, f in zip(det, pivots, free)]
         det = [d * x % p if d else d for d, x, p in zip(det, pivots, primes)]
-        if c == k - 1:
-            break
-        below = col[:, 1:]
-        a[:, c, c + 1 :] = below
+        if c == k - 2:
+            return det
+        below = panel[:, 2:]
+        a[:, c : c + 2, c + 2 :] = below.swapaxes(1, 2)
         inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)])
-        np.multiply(below, inv[:, None], out=below)
-        np.remainder(below, mods, out=below)
+        # D^-1 = adj(D) / det(D): [[delta, -beta], [-beta, alpha]] * inv
+        scale = panel[:, 1::-1, 1::-1] * (signs * inv[:, None, None])
+        np.remainder(scale, mods, out=scale)
+        np.remainder(np.matmul(below, scale), mods, out=below)
     return det
 
 

@@ -357,6 +357,7 @@ class TestBareissFinish:
 
         bareiss = spanning._bareiss
         monkeypatch.setattr(spanning, "_bareiss", spy)
+        monkeypatch.setattr(spanning, "_MODULAR_ROWS", 18)
         left = tuple((u + 1, v + 1) for u, v, _ in complete(9).edges)
         right = tuple((u and u + 9, v + 9) for u, v, _ in complete(9).edges)
         assert tau(Graph(18, left + right)) == 0
@@ -408,12 +409,15 @@ class TestModularFinish:
         assert tau(g) == dense_tau(g) == 0
 
     def test_pivot_zero_modulo_first_prime(self, monkeypatch):
-        """Vertex 1's degree is the first prime, which is unlucky: the
-        first pivot vanishes modulo it over a nonzero column."""
+        """The first prime divides the leading 2 x 2 minor of K_30 with b
+        extra copies of edge (2, 3), 29 * (29 + b) - 1, over two columns of
+        rank 2 modulo it, so the prime is unlucky."""
         first = next(spanning._primes())
-        g = Graph(30, complete(30).edges + ((1, 2, first - 29),))
+        b = pow(29, -1, first) - 29
+        g = Graph(30, complete(30).edges + ((2, 3, b),))
         block = principal_minor(laplacian(g), 0)
-        assert block[0][0] == first
+        minor = block[0][0] * block[1][1] - block[0][1] ** 2
+        assert minor == 29 * (29 + b) - 1 and minor % first == 0
         results = []
 
         def spy(a, primes):
@@ -456,6 +460,80 @@ class TestModularFinish:
                     assert d == det % p
                     zeros += d == 0
         assert unlucky and zeros
+
+    def test_det_mod_gram_matrices(self):
+        """Positive semidefinite X^T X, of rank below k when X has fewer
+        rows than columns, modulo small primes.
+
+        A residue is the determinant's, or None where the prime divides a
+        nonzero leading principal minor of even order below k: the order
+        at which a 2 x 2 pivot block ends.
+        """
+        rng = random.Random(61)
+        primes = [2, 3, 5, 7]
+        unlucky = zeros = singular = 0
+        for _ in range(300):
+            k = rng.randint(1, 9)
+            x = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rng.randint(1, k + 1))]
+            mat = [[sum(r[i] * r[j] for r in x) for j in range(k)] for i in range(k)]
+            a = np.array([mat] * len(primes), dtype=np.int64)
+            det = det_bareiss(mat)
+            even = [det_bareiss([row[:j] for row in mat[:j]]) for j in range(2, k, 2)]
+            singular += det == 0
+            for p, d in zip(primes, spanning._det_mod(a, primes)):
+                if d is None:
+                    assert any(m and m % p == 0 for m in even)
+                    unlucky += 1
+                else:
+                    assert d == det % p
+                    zeros += d == 0 and any(m % p == 0 for m in even)
+        assert unlucky and zeros and singular
+
+    def test_det_mod_small_blocks(self):
+        """k = 1 and 3 end on a 1 x 1 pivot, k = 2 and 4 on a 2 x 2 block;
+        raw, reduced and singular blocks alike."""
+        supply = spanning._primes()
+        primes = [next(supply), next(supply), 13, 11]
+        for k in range(1, 5):
+            m = 2**56  # uniform K_(k+1), raw
+            uniform = [[m * k if i == j else -m for j in range(k)] for i in range(k)]
+            singular = [[(i + 1) * (j + 1) for j in range(k)] for i in range(k)]  # rank 1
+            other = [[i + j + 2 * k * (i == j) for j in range(k)] for i in range(k)]
+            assert det_bareiss(uniform) == m**k * (k + 1) ** (k - 1)
+            assert det_bareiss(singular) == (k == 1)
+            for mat in (uniform, singular, other):
+                det = det_bareiss(mat)
+                reduced = [[[x % p for x in row] for row in mat] for p in primes]
+                for block in ([mat] * len(primes), reduced):
+                    a = np.array(block, dtype=np.int64)
+                    assert spanning._det_mod(a, primes) == [det % p for p in primes]
+
+    def test_two_disjoint_complete_graphs_one_call(self, monkeypatch):
+        """K_30 on 1..30 and K_30 on 0, 31..59 leave one 59-row block whose
+        first 30 rows are K_30's singular Laplacian: the pivot block at
+        columns 28 and 29, the last within those rows, is singular over
+        dependent columns modulo every prime.  One `_det_mod` call gives
+        residue 0 for each, and `_bareiss` is never called."""
+        calls = []
+
+        def spy(a, primes):
+            dets = det_mod(a, primes)
+            calls.append(dets)
+            if len(calls) > 1:
+                raise AssertionError("a second _det_mod call")
+            return dets
+
+        def no_bareiss(m, prev):
+            raise AssertionError("_bareiss called")
+
+        det_mod = spanning._det_mod
+        monkeypatch.setattr(spanning, "_det_mod", spy)
+        monkeypatch.setattr(spanning, "_bareiss", no_bareiss)
+        left = tuple((u + 1, v + 1) for u, v, _ in complete(30).edges)
+        right = tuple((u and u + 30, v + 30) for u, v, _ in complete(30).edges)
+        assert tau(Graph(60, left + right)) == 0
+        [dets] = calls
+        assert dets and set(dets) == {0}
 
     @staticmethod
     def det_mod_shapes(monkeypatch) -> list[tuple[int, int, int]]:
@@ -532,10 +610,17 @@ class TestModularFinish:
 
     def test_int64_bound(self):
         """A residue, or a raw entry inside ±2^62, less a sum of
-        _REDUCE_EVERY products of residues fits int64."""
+        _REDUCE_EVERY products of residues fits int64, and so does every
+        step of a 2 x 2 pivot."""
         top = 2**spanning._PRIME_BITS
         assert spanning._REDUCE_EVERY * (top - 1) ** 2 + top < 2**63
         assert -(2**62 - 1) - spanning._REDUCE_EVERY * (top - 1) ** 2 >= -(2**63)
+        # a 2 x 2 pivot block's determinant and the dependence test's
+        # minors are differences of two products of residues, the entries
+        # of adj(D) * det(D)^-1 products of two residues, and the scaled
+        # multipliers sums of two of those products
+        assert (top - 1) ** 2 < 2**52
+        assert 2 * (top - 1) ** 2 < 2**53
 
     def test_det_mod_raw_entries(self):
         """Unreduced int64 entries inside ±2^62 give the residues of the
@@ -559,9 +644,17 @@ class TestModularFinish:
                     assert any(m % p == 0 for m in minors)
                 else:
                     assert d == det % p
-        # a raw first pivot that is a nonzero multiple of the first prime
         first = primes[0]
-        mat = [[first * (2**62 // first - 1), 5], [5, 1]]
+        multiple = first * (2**62 // first - 1)
+        # a raw 1 x 1 pivot that is a nonzero multiple of the first prime
+        # lies inside a 2 x 2 pivot block, so both residues are the
+        # determinant's
+        mat = [[multiple, 5], [5, 1]]
+        a = np.array([mat] * 2, dtype=np.int64)
+        assert spanning._det_mod(a, primes[:2]) == [det_bareiss(mat) % p for p in primes[:2]]
+        # a raw leading 2 x 2 minor that is a nonzero multiple of the first
+        # prime, over columns (1, 1, 2) and (1, 1, 3) of rank 2 modulo it
+        mat = [[multiple + 1, 1, 2], [1, 1, 3], [2, 3, 2**62 - 1]]
         a = np.array([mat] * 2, dtype=np.int64)
         assert spanning._det_mod(a, primes[:2]) == [None, det_bareiss(mat) % primes[1]]
 
