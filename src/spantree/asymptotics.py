@@ -146,6 +146,13 @@ def check_lhospital(n_grid: Sequence[int]) -> LhospitalReport:
     h = max(1, n/1000); everything runs through the scaled form above, so
     grids far past the overflow point of f itself are fine.  Where the
     difference still overflows a double, ValueError names the n.
+
+    Known defect: the step is too coarse for large n, since the change in
+    the log of the integral target over it grows like sqrt(n / ln n) / 1000,
+    so r is unreliable from about 10^7.  For n = 10^6, 7,805,544 and 10^8
+    this gives r = 0.960720, 1.175517 and 6.432552, where the exact
+    derivative gives 0.928716, 0.937407 and 0.945838, and
+    ``tending_to_one`` is false on any grid that reaches that far.
     """
     if not n_grid:
         raise ValueError("grid must be nonempty")

@@ -316,7 +316,7 @@ def save_atlas(record: AtlasRecord, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-# load_atlas refuses a larger file before parsing it; atlas_8.json is 44,226 bytes
+# load_atlas refuses a larger file before parsing it; atlas_8.json is about 44 KB
 _ATLAS_FILE_LIMIT = 2**20
 
 # key -> type of every field an atlas file must hold

@@ -222,7 +222,7 @@ def _cmd_witness(args: argparse.Namespace) -> _Output:
 def _cmd_atlas(args: argparse.Namespace) -> _Output:
     if args.jobs < 1:  # --jobs starts no worker; it stays accepted for old scripts
         raise ValueError("jobs must be >= 1")
-    if args.out is not None:  # before the atlas is built, which takes seconds at n = 8
+    if args.out is not None:  # before the atlas is built, so a bad path costs no build
         out = Path(args.out)
         if out.is_dir() or not (out.parent.is_dir() and os.access(out.parent, os.W_OK)):
             raise ValueError(f"--out {out}: not a file in a writable directory")

@@ -2,13 +2,13 @@
 
 Vertices are the integers ``0..n_vertices-1``.  Edges are unordered pairs
 carrying an integer multiplicity >= 1; self-loops are rejected outright
-because a loop can never lie on a spanning tree.  Every operation returns a
-new graph, so instances can be shared freely between threads and worker
-processes.
+because a loop can never lie on a spanning tree.  A graph is never changed
+after it is built, so instances can be shared freely between threads and
+worker processes.
 
-Multiplicities exist so that edge contraction stays closed under the graph
-type (contracting one side of a triangle leaves a doubled edge).  All the
-named constructors (`cycle`, `path`, `complete`) emit simple graphs.
+Multiplicities are the edge-list format's third column, and τ counts each
+parallel copy as its own edge (a doubled edge has two spanning trees).  All
+the named constructors (`cycle`, `path`, `complete`) emit simple graphs.
 
 Public ``Graph(...)`` validates, merges and sorts every edge.  Builders that
 already hold the canonical form skip that through the private
@@ -32,7 +32,6 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -42,8 +41,6 @@ __all__ = [
     "cycle",
     "path",
     "complete",
-    "delete_edge",
-    "contract_edge",
     "format_edge_list",
     "parse_edge_list",
 ]
@@ -127,14 +124,6 @@ class Graph:
         """Number of edges counted with multiplicity."""
         return sum(m for _, _, m in self.edges)
 
-    def multiplicity(self, u: int, v: int) -> int:
-        """Multiplicity of the edge ``uv`` (0 when absent)."""
-        key = (u, v) if u < v else (v, u)
-        for a, b, m in self.edges:
-            if (a, b) == key:
-                return m
-        return 0
-
 
 def _canonical(n: int, merged: dict[int, int]) -> tuple[tuple[int, int, int], ...]:
     """Sorted ``(u, v, m)`` triples from multiplicities keyed by ``u * n + v``,
@@ -165,68 +154,6 @@ def complete(n_vertices: int) -> Graph:
     return Graph._from_canonical(
         n_vertices, tuple((u, v, 1) for u, v in combinations(range(n_vertices), 2))
     )
-
-
-def _connects(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
-    """Whether the vertex pairs join all of 0..n-1 into at most one component.
-
-    Union-find with path halving, stopping as soon as one component is left.
-    """
-    parent = list(range(n))
-    components = n
-    for u, v in pairs:
-        if components == 1:
-            break
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            components -= 1
-    return components <= 1
-
-
-def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    """Remove one copy of the edge ``e``; the multiplicity drops by 1."""
-    u, v = e
-    key = (u, v) if u < v else (v, u)
-    if g.multiplicity(*key) < 1:
-        raise ValueError(f"edge {key} not present")
-    edges = []
-    for a, b, m in g.edges:
-        if (a, b) == key:
-            if m > 1:
-                edges.append((a, b, m - 1))
-        else:
-            edges.append((a, b, m))
-    return Graph(g.n_vertices, tuple(edges))
-
-
-def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
-    """Merge the endpoints of ``e`` into one vertex.
-
-    Parallel edges produced by the merge keep their summed multiplicities;
-    copies of ``e`` itself become loops and are discarded.  The surviving
-    endpoint is ``min(e)`` and vertices above ``max(e)`` shift down by one.
-    """
-    u, v = e
-    if u > v:
-        u, v = v, u
-    if g.multiplicity(u, v) < 1:
-        raise ValueError(f"edge {(u, v)} not present")
-
-    def relabel(w: int) -> int:
-        if w == v:
-            return u
-        return w - 1 if w > v else w
-
-    edges = []
-    for a, b, m in g.edges:
-        ra, rb = relabel(a), relabel(b)
-        if ra != rb:
-            edges.append((ra, rb, m))
-    return Graph(g.n_vertices - 1, tuple(edges))
 
 
 def format_edge_list(g: Graph) -> str:

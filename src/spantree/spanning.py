@@ -74,19 +74,16 @@ from __future__ import annotations
 
 import heapq
 from functools import cache
-from itertools import chain, combinations
-from math import comb, prod
+from itertools import chain
+from math import prod
 from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph, _connects
+from .graphs import Graph
 from .partitions import _primes_in
 
-__all__ = ["laplacian", "tau", "tau_bruteforce"]
-
-# Square matrix of exact integers, row-major.
-IntMatrix = list[list[int]]
+__all__ = ["tau"]
 
 # `tau` eliminates dense lists, not dicts, once the next pivot row has a
 # nonzero in at least 1/_DENSE_SHARE of the active columns
@@ -115,24 +112,6 @@ _CHUNK_ENTRIES = 1 << 18
 # products summed between reductions of a pair's columns; below 2^11 each
 # sum stays inside int64 (see the module docstring)
 _REDUCE_EVERY = 1 << 10
-# `tau_bruteforce` refuses graphs with more (n-1)-edge subsets than this
-_BRUTE_FORCE_LIMIT = 5_000_000
-
-
-def laplacian(g: Graph) -> IntMatrix:
-    """Combinatorial Laplacian ``D - A`` with multiplicities counted.
-
-    Diagonal entries are vertex degrees (sums of multiplicities); the
-    off-diagonal entry for a pair is minus its multiplicity.  Rows sum to 0.
-    """
-    n = g.n_vertices
-    mat = [[0] * n for _ in range(n)]
-    for u, v, m in g.edges:
-        mat[u][u] += m
-        mat[v][v] += m
-        mat[u][v] -= m
-        mat[v][u] -= m
-    return mat
 
 
 def _struck_laplacian(g: Graph) -> np.ndarray:
@@ -159,7 +138,7 @@ def _struck_laplacian(g: Graph) -> np.ndarray:
     return lap[1:, 1:]
 
 
-def _bareiss(m: IntMatrix, prev: int) -> int:
+def _bareiss(m: list[list[int]], prev: int) -> int:
     """Determinant from a nonempty Bareiss block, eliminated in place.
 
     ``prev`` divides the first step: the last pivot taken before ``m`` was
@@ -414,23 +393,3 @@ def tau(g: Graph) -> int:
             rows[i] = new
             step[i] = t + 1
             heapq.heappush(heap, (len(new), i))
-
-
-def tau_bruteforce(g: Graph) -> int:
-    """Count spanning trees by scanning all (n-1)-edge subsets.
-
-    Independent of the determinant route: a subset counts when its edges
-    (parallel copies are distinct edges) join all n vertices, as n - 1
-    edges do exactly when they form a tree.  Refuses when C(|E|, n-1)
-    exceeds _BRUTE_FORCE_LIMIT.
-    """
-    n = g.n_vertices
-    if n == 0:
-        return 0
-    n_subsets = comb(g.n_edges, n - 1)
-    if n_subsets > _BRUTE_FORCE_LIMIT:
-        raise ValueError(
-            f"{n_subsets} subsets exceed the enumeration budget of {_BRUTE_FORCE_LIMIT}"
-        )
-    instances = [(u, v) for u, v, m in g.edges for _ in range(m)]  # parallel copies apart
-    return sum(_connects(n, subset) for subset in combinations(instances, n - 1))

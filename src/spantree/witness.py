@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import isqrt, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .graphs import Graph
 from .partitions import Partition, p_set_enumerate
@@ -22,11 +22,9 @@ from .partitions import primes_up_to  # noqa: F401  perfbench's tracer test wrap
 
 __all__ = [
     "Witness",
-    "DistinctnessReport",
     "flower",
     "build_witness",
     "witness_family",
-    "certify_distinct",
     "sidecar_json",
 ]
 
@@ -50,24 +48,6 @@ class Witness:
     @property
     def n(self) -> int:
         return self.graph.n_vertices
-
-
-@dataclass(frozen=True)
-class DistinctnessReport:
-    """Outcome of a pairwise-distinctness check over spanning-tree counts.
-
-    ``collisions`` holds one ``(count, first_index, second_index)`` triple
-    per repeated value, indices referring to input order.
-    """
-
-    collisions: tuple[tuple[int, int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.collisions
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def flower(parts: Partition | Sequence[int]) -> Graph:
@@ -150,22 +130,6 @@ def witness_family(n: int) -> Iterator[Witness]:
     """
     for p in p_set_enumerate(n):
         yield build_witness(p, n)
-
-
-def certify_distinct(witnesses: Iterable[Witness]) -> DistinctnessReport:
-    """Check that all spanning-tree counts in the collection differ.
-
-    For family output this must always pass: the counts are products of
-    odd primes, and equal products force equal multisets of parts.
-    """
-    seen: dict[int, int] = {}
-    collisions: list[tuple[int, int, int]] = []
-    for idx, w in enumerate(witnesses):
-        if w.tau_value in seen:
-            collisions.append((w.tau_value, seen[w.tau_value], idx))
-        else:
-            seen[w.tau_value] = idx
-    return DistinctnessReport(collisions=tuple(collisions))
 
 
 def sidecar_json(w: Witness) -> str:

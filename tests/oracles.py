@@ -1,28 +1,30 @@
 """Independent reference implementations the tests compare against.
 
-Nothing in here shares code paths with what it checks: the determinant is
-cofactor expansion, or for larger matrices elimination with row swaps of
-any square matrix, instead of τ's elimination without row swaps of
-positive semidefinite blocks, the atlas is a scan of every labelled edge
-subset instead of an extension of isomorphism classes, the extensions'
-counts are one ``tau`` of one ``Graph`` each instead of a subset tree over
-L_G, a graph's exact canonical code is its least code over all k!
-relabellings instead of one colour-refinement relabelling, connectivity is
-a breadth-first search instead of union-find, unrestricted partition
-counts are the one-part-at-a-time dynamic program instead of Euler's
-pentagonal recurrence, partitions are listed by nested generators over a
-trial-division pool instead of an explicit stack over a sieved one, and
-the float formulas are evaluated in linear space instead of log-space.
-Slow and simple on purpose.
+Nothing in here shares code paths with what it checks: spanning trees are
+counted by brute force over every (n-1)-edge subset and by the
+deletion-contraction recurrence instead of by elimination, the Laplacian
+is a list of lists filled edge by edge instead of one numpy array, the
+determinant is cofactor expansion, or for larger matrices elimination
+with row swaps of any square matrix, instead of τ's elimination without
+row swaps of positive semidefinite blocks, the atlas is a scan of every
+labelled edge subset instead of an extension of isomorphism classes, the
+extensions' counts are one ``tau`` of one ``Graph`` each instead of a
+subset tree over L_G, a graph's exact canonical code is its least code
+over all k! relabellings instead of one colour-refinement relabelling,
+connectivity is a breadth-first search (the check on the brute force's
+union-find), unrestricted partition counts are the one-part-at-a-time
+dynamic program instead of Euler's pentagonal recurrence, partitions are
+listed by nested generators over a trial-division pool instead of an
+explicit stack over a sieved one, and the float formulas are evaluated in
+linear space instead of log-space.  Slow and simple on purpose.
 """
-
 from __future__ import annotations
 
 import math
 import random
 from collections import deque
-from itertools import permutations
-from typing import Iterator
+from itertools import combinations, permutations
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,6 +55,9 @@ P10_TAUS = [3, 5, 9, 7, 15, 27, 21, 25]
 # shapes tree / triangle+pendant / 4-cycle / diamond / complete
 ATLAS_3 = {1, 3}
 ATLAS_4 = {1, 3, 4, 8, 16}
+
+# `tau_bruteforce` refuses graphs with more (n-1)-edge subsets than this
+BRUTE_FORCE_LIMIT = 5_000_000
 
 
 def part_dp_counts(n: int, parts: list[int]) -> list[int]:
@@ -146,6 +151,109 @@ def principal_minor(mat: list[list[int]], strike: int) -> list[list[int]]:
         for i, row in enumerate(mat)
         if i != strike
     ]
+
+
+def laplacian(g: Graph) -> list[list[int]]:
+    """Combinatorial Laplacian ``D - A`` with multiplicities counted.
+
+    Diagonal entries are vertex degrees (sums of multiplicities); the
+    off-diagonal entry for a pair is minus its multiplicity.  Rows sum to 0.
+    """
+    n = g.n_vertices
+    mat = [[0] * n for _ in range(n)]
+    for u, v, m in g.edges:
+        mat[u][u] += m
+        mat[v][v] += m
+        mat[u][v] -= m
+        mat[v][u] -= m
+    return mat
+
+
+def connects(n: int, pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the vertex pairs join all of 0..n-1 into at most one component.
+
+    Union-find with path halving, stopping as soon as one component is left.
+    """
+    parent = list(range(n))
+    components = n
+    for u, v in pairs:
+        if components == 1:
+            break
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            components -= 1
+    return components <= 1
+
+
+def tau_bruteforce(g: Graph) -> int:
+    """Count spanning trees by scanning all (n-1)-edge subsets.
+
+    A subset counts when its edges (parallel copies are distinct edges)
+    join all n vertices, as n - 1 edges do exactly when they form a tree.
+    Refuses when C(|E|, n-1) exceeds BRUTE_FORCE_LIMIT.
+    """
+    n = g.n_vertices
+    if n == 0:
+        return 0
+    n_subsets = math.comb(g.n_edges, n - 1)
+    if n_subsets > BRUTE_FORCE_LIMIT:
+        raise ValueError(
+            f"{n_subsets} subsets exceed the enumeration budget of {BRUTE_FORCE_LIMIT}"
+        )
+    instances = [(u, v) for u, v, m in g.edges for _ in range(m)]  # parallel copies apart
+    return sum(connects(n, subset) for subset in combinations(instances, n - 1))
+
+
+def multiplicity(g: Graph, u: int, v: int) -> int:
+    """Multiplicity of the edge ``uv`` (0 when absent)."""
+    key = (u, v) if u < v else (v, u)
+    return next((m for a, b, m in g.edges if (a, b) == key), 0)
+
+
+def delete_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    """Remove one copy of the edge ``e``; the multiplicity drops by 1."""
+    u, v = e
+    key = (u, v) if u < v else (v, u)
+    if multiplicity(g, *key) < 1:
+        raise ValueError(f"edge {key} not present")
+    edges = []
+    for a, b, m in g.edges:
+        if (a, b) == key:
+            if m > 1:
+                edges.append((a, b, m - 1))
+        else:
+            edges.append((a, b, m))
+    return Graph(g.n_vertices, tuple(edges))
+
+
+def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
+    """Merge the endpoints of ``e`` into one vertex.
+
+    Parallel edges produced by the merge keep their summed multiplicities;
+    copies of ``e`` itself become loops and are discarded.  The surviving
+    endpoint is ``min(e)`` and vertices above ``max(e)`` shift down by one.
+    """
+    u, v = e
+    if u > v:
+        u, v = v, u
+    if multiplicity(g, u, v) < 1:
+        raise ValueError(f"edge {(u, v)} not present")
+
+    def relabel(w: int) -> int:
+        if w == v:
+            return u
+        return w - 1 if w > v else w
+
+    edges = []
+    for a, b, m in g.edges:
+        ra, rb = relabel(a), relabel(b)
+        if ra != rb:
+            edges.append((ra, rb, m))
+    return Graph(g.n_vertices - 1, tuple(edges))
 
 
 def random_multigraph(

@@ -11,20 +11,27 @@ from spantree import (
     EdgeListError,
     Graph,
     complete,
-    contract_edge,
     cycle,
-    delete_edge,
     format_edge_list,
     parse_edge_list,
     path,
     tau,
 )
 
-from oracles import degree, identify, is_connected, random_multigraph
+from oracles import (
+    connects,
+    contract_edge,
+    degree,
+    delete_edge,
+    identify,
+    is_connected,
+    multiplicity,
+    random_multigraph,
+)
 
 
-def connects(g):
-    return graphs._connects(g.n_vertices, ((u, v) for u, v, _ in g.edges))
+def union_find(g):
+    return connects(g.n_vertices, ((u, v) for u, v, _ in g.edges))
 
 
 def outcome(parse, text):
@@ -86,8 +93,8 @@ class TestConstruction:
     def test_degree_and_multiplicity(self):
         g = Graph(3, ((0, 1, 2), (1, 2)))
         assert degree(g, 1) == 3
-        assert g.multiplicity(1, 0) == 2
-        assert g.multiplicity(0, 2) == 0
+        assert multiplicity(g, 1, 0) == 2
+        assert multiplicity(g, 0, 2) == 0
 
     def test_equality_is_structural(self):
         assert Graph(3, ((2, 1), (0, 1))) == Graph(3, ((0, 1), (1, 2)))
@@ -128,7 +135,7 @@ class TestIdentify:
     def test_merged_vertex_keeps_first_label(self):
         g = identify(path(3), 2, path(2), 0)
         # second path's far endpoint lands at label 3
-        assert g.multiplicity(2, 3) == 1
+        assert multiplicity(g, 2, 3) == 1
         assert g.n_vertices == 4
 
     def test_single_vertex_attachment_is_noop(self):
@@ -141,27 +148,28 @@ class TestIdentify:
 
 
 class TestConnectivity:
-    """The union-find that `tau_bruteforce` counts spanning trees with."""
+    """The union-find that the brute-force oracle counts spanning trees with,
+    against breadth-first search."""
 
     def test_empty_graph_connected(self):
-        assert connects(Graph(0))
+        assert union_find(Graph(0))
 
     def test_single_vertex_connected(self):
-        assert connects(Graph(1))
+        assert union_find(Graph(1))
 
     def test_two_isolated_vertices(self):
-        assert not connects(Graph(2))
+        assert not union_find(Graph(2))
 
     def test_path_connected(self):
-        assert connects(path(6))
+        assert union_find(path(6))
 
     def test_disjoint_cycles(self):
         g = Graph(6, tuple(cycle(3).edges) + ((3, 4), (4, 5), (3, 5)))
-        assert not connects(g)
+        assert not union_find(g)
 
     def test_parallel_edges_and_isolated_vertex(self):
-        assert not connects(Graph(3, ((0, 1, 4),)))
-        assert connects(Graph(3, ((0, 1, 4), (1, 2, 2))))
+        assert not union_find(Graph(3, ((0, 1, 4),)))
+        assert union_find(Graph(3, ((0, 1, 4), (1, 2, 2))))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -175,7 +183,7 @@ class TestConnectivity:
         # endpoints folded into range; loops dropped, repeats merged by Graph
         edges = tuple((u % n, v % n, m) for u, v, m in raw if n and u % n != v % n)
         g = Graph(n, edges)
-        assert connects(g) == is_connected(g)
+        assert union_find(g) == is_connected(g)
 
 
 class TestDeleteContract:

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spantree import (
-    DistinctnessReport,
     Graph,
     Partition,
     build_witness,
-    certify_distinct,
     cycle,
     flower,
     path,
@@ -182,28 +180,9 @@ class TestAttachmentIndependence:
             assert at_hub == elsewhere
 
 
-class TestCertifyDistinct:
-    def test_family_always_distinct(self):
-        report = certify_distinct(witness_family(30))
-        assert report.ok
-        assert bool(report)
-        assert report.collisions == ()
-
-    def test_duplicate_reported(self):
-        w = build_witness(Partition((3,)), 5)
-        report = certify_distinct([w, w])
-        assert not report.ok
-        assert report.collisions == ((3, 0, 1),)
-
-    def test_empty_collection(self):
-        assert certify_distinct([]).ok
-
-    def test_ok_is_derived(self):
-        assert DistinctnessReport(collisions=()).ok
-        report = DistinctnessReport(collisions=((3, 0, 1),))
-        assert not report.ok and not report
-        with pytest.raises(TypeError):
-            DistinctnessReport(ok=True, collisions=())
+def test_family_counts_are_distinct():
+    ws = list(witness_family(30))
+    assert len({w.tau_value for w in ws}) == len(ws)
 
 
 def test_sidecar_round_trip():
