@@ -6,7 +6,8 @@ byte-identical output; the only varying fields (elapsed times) live in
 atlas files, not on stdout.  Exit codes: 0 success, 2 usage or input
 error (bad arguments, malformed edge lists or atlas files, unreadable or
 unwritable paths), 3 required atlas data missing.  Commands only compute;
-``main`` alone renders their output and turns their errors into exit codes.
+``main`` alone renders their output and turns their errors, the parser's
+usage errors among them, into one ``error: ...`` line and an exit code.
 
 ``main`` builds its parser once per process, on its first call, and reuses
 it; nothing is built at import.  So that a reused parser carries nothing
@@ -21,10 +22,9 @@ import csv
 import functools
 import json
 import os
-import re
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .asymptotics import (
     N_MAX,
@@ -77,11 +77,6 @@ _INPUT_LIMIT = 8 * 2**20
 # partitions and bounds refuse a count table past this n before building it:
 # the prime classes take about a minute here, and N + 1 ints can exhaust memory
 _COUNT_MAX_N = 10**5
-
-# the literals int() accepts, so a bad --grid or --flower is reported by its
-# option name
-_INT_LITERAL = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
-
 
 class _MissingAtlas(Exception):
     """Required atlas data is absent (exit 3)."""
@@ -151,10 +146,10 @@ def _atlas_dir(args: argparse.Namespace) -> str | None:
 
 def _int_list(option: str, text: str) -> list[int]:
     """The integers of a comma-separated option value."""
-    items = text.split(",")
-    if not all(_INT_LITERAL.fullmatch(s) for s in items):
-        raise ValueError(f"{option} must be comma-separated integers")
-    return [int(s) for s in items]
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:  # also a value past int()'s 4,300-digit limit
+        raise ValueError(f"{option} must be comma-separated integers") from None
 
 
 def _cmd_tau(args: argparse.Namespace) -> _Output:
@@ -289,8 +284,9 @@ def _cmd_asymptotics(args: argparse.Namespace) -> _Output:
     grid = _int_list("--grid", args.grid)
     if any(a > b for a, b in zip(grid, grid[1:])):
         raise ValueError("--grid must be ascending")
-    if any(n < 2 for n in grid):
-        raise ValueError("--grid values must be >= 2")
+    floor = 10 if args.check_lhospital else 2  # check_lhospital refuses n < 10
+    if any(n < floor for n in grid):
+        raise ValueError(f"--grid values must be >= {floor}")
     if any(n > N_MAX for n in grid):
         raise ValueError("--grid values must be <= 10^300")
     ratios = dict(check_lhospital(grid).rows) if args.check_lhospital else {}
@@ -329,8 +325,15 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so ``main`` reports them like any other error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spantree",
         description="Exact spanning-tree counts: witnesses, atlases, asymptotics.",
     )
@@ -410,10 +413,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-    try:
         out = _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse exits only after --help
+        return int(exc.code or 0)
     except _MissingAtlas as exc:
         message, code = str(exc), 3
     except (EdgeListError, UnicodeDecodeError) as exc:  # only from tau --input

@@ -303,12 +303,13 @@ def tau(g: Graph) -> int:
     the minor on the pivot rows plus i and the pivot columns plus j, and
     step t + 1 with pivot p on vertex v sets it to
     ``(p * a_ij - a_iv * a_vj) // p_t``.  Where a_iv = 0 that is
-    ``a_ij * p // p_t``, so a row no pivot touches since step s is stored
-    as of step s and its entries are ``stored * p_t // p_s``: exact, since
-    the result is a minor and so an integer.  Only the pivot's neighbours
-    are rewritten.  Minimum-degree order eliminates a pendant tree with no
-    fill and each vertex of a cycle with at most one fill entry, so the
-    blocks of the graph are used without decomposing it into them.
+    ``a_ij * p // p_t``, so each row is stored with its scale, the pivot
+    p_s of the last step that rewrote it (1 before any), and its entries
+    are ``stored * p_t // p_s``: exact, since the result is a minor and so
+    an integer.  Only the pivot's neighbours are rewritten.  Minimum-degree
+    order eliminates a pendant tree with no fill and each vertex of a cycle
+    with at most one fill entry, so the blocks of the graph are used without
+    decomposing it into them.
 
     A zero pivot returns 0.  The struck Laplacian is positive semidefinite
     and the pivots before it are positive, so the block left after them (the
@@ -342,15 +343,14 @@ def tau(g: Graph) -> int:
         if _DENSE_SHARE * np.count_nonzero(block, axis=1).min() >= active:
             return _finish(block, 1)
 
-    rows: list[dict[int, int] | None] = [{v: 0} for v in range(n)]
-    for u, v, m in g.edges:
-        rows[u][u] += m
+    rows: list[dict[int, int] | None] = [None] + [{v: 0} for v in range(1, n)]
+    for u, v, m in g.edges:  # u < v, so only u can be the struck vertex 0
         rows[v][v] += m
         if u:
+            rows[u][u] += m
             rows[u][v] = rows[v][u] = -m
-    rows[0] = None
-    step = [0] * n  # the step as of which each row is stored
-    pivots = [1]  # pivots[s] is the pivot of step s
+    scale = [1] * n  # the pivot at which each row was stored
+    prev = 1  # the last pivot
     heap = [(len(rows[v]), v) for v in range(1, n)]
     heapq.heapify(heap)
     while True:
@@ -358,15 +358,13 @@ def tau(g: Graph) -> int:
         row = rows[v]
         if row is None or len(row) != count:
             continue  # eliminated, or its size changed since this push
-        t = len(pivots) - 1
-        prev = pivots[t]
         if _DENSE_SHARE * count >= active:
             order = [i for i in range(1, n) if rows[i] is not None]
             col = {j: c for c, j in enumerate(order)}
             block = []
             for i in order:
                 line = [0] * active
-                base = pivots[step[i]]
+                base = scale[i]
                 for j, x in rows[i].items():
                     line[col[j]] = x * prev // base
                 block.append(line)
@@ -377,19 +375,19 @@ def tau(g: Graph) -> int:
             return _finish(mat, prev)
         rows[v] = None
         active -= 1
-        base = pivots[step[v]]
+        base = scale[v]
         row = {j: x * prev // base for j, x in row.items()}
         pivot = row.pop(v)
         if pivot == 0:
             return 0
-        pivots.append(pivot)
         for i, a_iv in row.items():  # a_iv = a_vi: the active block is symmetric
             old = rows[i]
             del old[v]
-            base = pivots[step[i]]
+            base = scale[i]
             new = {j: x * pivot // base for j, x in old.items() if j not in row}
             for j, a_vj in row.items():
                 new[j] = (pivot * (old.get(j, 0) * prev // base) - a_iv * a_vj) // prev
             rows[i] = new
-            step[i] = t + 1
+            scale[i] = pivot
             heapq.heappush(heap, (len(new), i))
+        prev = pivot

@@ -312,6 +312,12 @@ class TestLowerBound:
         assert not report.ok
         assert report.missing == (3, 5)
 
+    def test_truth_is_ok(self):
+        # without __bool__ every report is truthy, so `assert report` passes on a failure
+        passing = verify_lower_bound(exact_atlas(5))
+        failing = verify_lower_bound(AtlasRecord(n=5, values=(1, 4), elapsed=0.0))
+        assert (bool(passing), bool(failing)) == (passing.ok, failing.ok) == (True, False)
+
 
 class TestPersistence:
     def test_round_trip(self, small_atlases, tmp_path):

@@ -91,6 +91,44 @@ def test_golden(run, atlas_dir, bad_inputs, argv, code, stdout):
         assert str(bad_inputs) in err
 
 
+# usage errors that argparse finds and integer lists that int() refuses, all
+# reported by main: (argv, a fragment of the one error line)
+USAGE_ERRORS = {
+    "no-command": ([], "required: command"),
+    "unknown-command": (["frobnicate"], "frobnicate"),
+    "unknown-option": (["tau", "--cycle", "3", "--bogus"], "unrecognized arguments: --bogus"),
+    "missing-option": (["partitions", "--class", "all"], "required: --n"),
+    "non-integer-n": (
+        ["partitions", "--n", "x", "--class", "all"], "argument --n: invalid int value: 'x'"
+    ),
+    "bad-class": (["partitions", "--n", "3", "--class", "odd"], "argument --class: invalid choice"),
+    "two-sources": (
+        ["tau", "--cycle", "3", "--complete", "4"], "--complete: not allowed with argument --cycle"
+    ),
+    "no-source": (["tau", "--format", "json"], "--input --cycle --complete --flower is required"),
+    "malformed-flower": (["tau", "--flower", "3,x"], "--flower must be comma-separated integers"),
+    "malformed-grid": (["asymptotics", "--grid", "10,x"], "--grid must be comma-separated integers"),
+    # past int()'s 4,300-digit limit
+    "long-flower": (["tau", "--flower", "3," + "3" * 5000], "--flower must be comma-separated"),
+    "long-grid": (["asymptotics", "--grid", "1" * 4301], "--grid must be comma-separated"),
+}
+
+
+@pytest.mark.parametrize("argv, fragment", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_is_one_line(run, argv, fragment):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["", *cli._COMMANDS])
+def test_help_prints_usage(run, command):
+    code, out, err = run(*command.split(), "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: spantree {command}".rstrip())
+
+
 class TestTau:
     def test_flower(self, run):
         assert run("tau", "--flower", "3,5") == (0, "15\n", "")
@@ -485,6 +523,10 @@ class TestAlpha:
     def test_missing_dir_is_exit_three(self, run, tmp_path):
         assert run("alpha", "--m", "9", "--atlas-dir", str(tmp_path / "void"))[0] == 3
 
+    def test_m_below_one_refused(self, run, atlas_dir):
+        code, out, err = run("alpha", "--m", "0", "--atlas-dir", str(atlas_dir))
+        assert (code, out, err) == (2, "", "error: --m must be >= 1\n")
+
     def test_no_dir_given(self, run, monkeypatch):
         monkeypatch.delenv("SPANTREE_ATLAS_DIR", raising=False)
         assert run("alpha", "--m", "9")[0] == 2
@@ -575,7 +617,12 @@ class TestAsymptotics:
         assert run("asymptotics", "--grid", "10,x")[0] == 2
 
     def test_lhospital_needs_ten_plus(self, run):
-        assert run("asymptotics", "--grid", "5,100", "--check-lhospital")[0] == 2
+        code, out, err = run("asymptotics", "--grid", "5,100", "--check-lhospital")
+        assert (code, out, err) == (2, "", "error: --grid values must be >= 10\n")
+        assert run("asymptotics", "--grid", "10,100", "--check-lhospital")[0] == 0
+
+    def test_grid_below_two_refused(self, run):
+        assert run("asymptotics", "--grid", "1") == (2, "", "error: --grid values must be >= 2\n")
 
     def test_lhospital_overflow_is_an_input_error(self, run):
         for n in (10**14, 10**16):
@@ -601,7 +648,7 @@ class TestStability:
         second = run("witness", "--n", "12", "--format", "json")
         assert first == second
 
-    def test_console_script_installed(self):
+    def test_python_m_spantree_runs(self):
         # the subprocess imports the same sources as this test run
         src = str(Path(spantree.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -641,7 +688,7 @@ class TestParserReuse:
         assert cli._parser() not in (first, second)
         first.add_argument("--extra", action="store_true")
         assert first.parse_args(["--extra", "tau", "--cycle", "3"]).extra
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match="unrecognized arguments: --extra"):
             second.parse_args(["--extra", "tau", "--cycle", "3"])
         assert run("--extra", "tau", "--cycle", "3")[0] == 2
         assert run("tau", "--cycle", "3")[:2] == (0, "3\n")

@@ -69,6 +69,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"edge entry {re.escape(repr(entry))}"):
             Graph(3, (entry, (1, 2)))
 
+    @pytest.mark.parametrize("entry", [(0,), (0, 1, 1, 1)])
+    def test_entry_neither_pair_nor_triple_rejected(self, entry):
+        with pytest.raises(ValueError, match=f"{re.escape(repr(entry))} is not a pair or a triple"):
+            Graph(3, (entry,))
+
     @pytest.mark.parametrize("count", [3.0, "3", None, 3 + 0j])
     def test_non_integer_vertex_count_rejected(self, count):
         with pytest.raises(ValueError, match=f"vertex count {re.escape(repr(count))}"):
@@ -118,6 +123,11 @@ class TestConstructors:
 
     def test_single_vertex_path(self):
         assert path(1).edges == ()
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_path_rejected(self, n):
+        with pytest.raises(ValueError, match=f"at least one vertex, got {n}"):
+            path(n)
 
     def test_complete_shape(self):
         g = complete(5)

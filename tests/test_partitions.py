@@ -117,6 +117,20 @@ class TestCounts:
         with pytest.raises(ValueError):
             count_partitions_up_to(-1, PartClass.ALL)
 
+    def test_negative_family_size(self):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            p_set_size(-1)
+
+    @pytest.mark.parametrize(
+        "stream",
+        [lambda: enumerate_partitions(-1, PartClass.ALL), lambda: p_set_enumerate(-1)],
+        ids=["enumerate_partitions", "p_set_enumerate"],
+    )
+    def test_negative_streams_raise_on_first_next(self, stream):
+        it = stream()  # a generator checks n only once it runs
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            next(it)
+
 
 class TestEnumeration:
     def test_lexicographic_weakly_increasing(self):
