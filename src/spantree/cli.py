@@ -7,7 +7,8 @@ atlas files, not on stdout.  Exit codes: 0 success, 2 usage or input
 error (bad arguments, malformed edge lists or atlas files, unreadable or
 unwritable paths), 3 required atlas data missing.  Commands only compute;
 ``main`` alone renders their output and turns their errors, the parser's
-usage errors among them, into one ``error: ...`` line and an exit code.
+usage errors among them, into one ``error: ...`` line of at most
+_ERROR_LIMIT characters and an exit code.
 
 ``main`` builds its parser once per process, on its first call, and reuses
 it; nothing is built at import.  So that a reused parser carries nothing
@@ -77,6 +78,10 @@ _INPUT_LIMIT = 8 * 2**20
 # partitions and bounds refuse a count table past this n before building it:
 # the prime classes take about a minute here, and N + 1 ints can exhaust memory
 _COUNT_MAX_N = 10**5
+
+# main cuts a longer error line to this many characters, the last three
+# "...", so that a huge rejected value or edge-list line is not echoed whole
+_ERROR_LIMIT = 1_000
 
 class _MissingAtlas(Exception):
     """Required atlas data is absent (exit 3)."""
@@ -427,7 +432,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         _render(args.format, out)
         return 0
-    print(f"error: {message}", file=sys.stderr)
+    line = f"error: {message}"
+    if len(line) > _ERROR_LIMIT:
+        line = line[: _ERROR_LIMIT - 3] + "..."
+    print(line, file=sys.stderr)
     return code
 
 

@@ -10,18 +10,19 @@ Multiplicities are the edge-list format's third column, and τ counts each
 parallel copy as its own edge (a doubled edge has two spanning trees).  All
 the named constructors (`cycle`, `path`, `complete`) emit simple graphs.
 
-Public ``Graph(...)`` validates, merges and sorts every edge.  Builders that
-already hold the canonical form skip that through the private
+Public ``Graph(...)`` and the line loop of `parse_edge_list` check and merge
+every edge through one `_add_edge`: it refuses a self-loop, an endpoint
+outside 0..n-1 and a multiplicity below 1, and sums multiplicities on the
+integer pair key u * n + v, which `_canonical` sorts into triples.  Builders
+that already hold the canonical form skip that through the private
 `Graph._from_canonical`: `cycle`, `path` and `complete` (and the flowers and
 witnesses in ``witness.py``) emit their triples sorted, with distinct
-in-range endpoints by construction; `parse_edge_list` checks every edge line
-and merges the multiplicities on the same integer pair key u * n + v that
-``Graph(...)`` uses.  Its line loop merges them in a dict sorted into
-triples by the one `_canonical`; an edge list of plain digits, spaces and
-newlines is parsed in bulk by numpy instead, which reads every token with
-one ``np.fromstring``, sorts the keys and sums each run of equal keys.  The
-result equals what ``Graph(...)`` would make of the same edges, so equality
-and hashing are unaffected (the tests compare both paths).
+in-range endpoints by construction.  An edge list of plain digits, spaces
+and newlines is parsed in bulk by numpy instead, which reads every token
+with one ``np.fromstring``, sorts the keys and sums each run of equal keys:
+the vectorised image of the same check and merge, which the tests compare
+with the line loop.  Either way the result equals what ``Graph(...)`` would
+make of the same edges, so equality and hashing are unaffected.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         object.__setattr__(self, "n_vertices", n)
-        merged: dict[int, int] = {}  # keyed by u * n + v, u < v
+        merged: dict[int, int] = {}
         for entry in self.edges:
             if len(entry) == 2:
                 u, v = entry
@@ -93,14 +94,7 @@ class Graph:
                 raise ValueError(
                     f"edge entry {entry!r} has a non-integer endpoint or multiplicity"
                 ) from None
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u} rejected")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
-            if m < 1:
-                raise ValueError(f"multiplicity {m} for edge ({u}, {v}) must be >= 1")
-            key = u * n + v if u < v else v * n + u
-            merged[key] = merged.get(key, 0) + m
+            _add_edge(merged, n, u, v, m)
         object.__setattr__(self, "edges", _canonical(n, merged))
 
     @classmethod
@@ -123,6 +117,20 @@ class Graph:
     def n_edges(self) -> int:
         """Number of edges counted with multiplicity."""
         return sum(m for _, _, m in self.edges)
+
+
+def _add_edge(merged: dict[int, int], n: int, u: int, v: int, m: int) -> None:
+    """Add ``m`` copies of the edge ``(u, v)`` on ``n`` vertices to ``merged``
+    under the key ``u * n + v``, ``u < v``; ValueError for a self-loop, an
+    endpoint outside ``0..n-1`` or a multiplicity below 1."""
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) outside vertex range")
+    if m < 1:
+        raise ValueError(f"multiplicity {m} must be >= 1")
+    key = u * n + v if u < v else v * n + u
+    merged[key] = merged.get(key, 0) + m
 
 
 def _canonical(n: int, merged: dict[int, int]) -> tuple[tuple[int, int, int], ...]:
@@ -270,7 +278,7 @@ def _parse_block(block: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _parse_lines(text: str) -> Graph:
     """`parse_edge_list` one line at a time, with its line-numbered errors."""
     n_vertices: int | None = None
-    merged: dict[int, int] = {}  # keyed by u * n_vertices + v, u < v
+    merged: dict[int, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
@@ -293,14 +301,10 @@ def _parse_lines(text: str) -> Graph:
             u, v, m = map(int, tokens)
         except ValueError:
             raise EdgeListError(line_no, f"non-integer token in {raw.strip()!r}") from None
-        if u == v:
-            raise EdgeListError(line_no, f"self-loop at vertex {u}")
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise EdgeListError(line_no, f"edge ({u}, {v}) outside vertex range")
-        if m < 1:
-            raise EdgeListError(line_no, f"multiplicity {m} must be >= 1")
-        key = u * n_vertices + v if u < v else v * n_vertices + u
-        merged[key] = merged.get(key, 0) + m
+        try:
+            _add_edge(merged, n_vertices, u, v, m)
+        except ValueError as exc:
+            raise EdgeListError(line_no, str(exc)) from None
     if n_vertices is None:
         raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")
     return Graph._from_canonical(n_vertices, _canonical(n_vertices, merged))

@@ -51,11 +51,13 @@ prime factors of B's nonzero leading minors of even order are skipped, and
 further primes fix τ; if the primes below 2^26 run out first, `_bareiss`
 finishes the block.  A disconnected graph gives residue 0 for every prime.
 
-Why int64 does not overflow.  An int64 block whose entries lie in
-(-2^62, 2^62) is eliminated from its raw entries; any other block (large
-multiplicities, or minors after a long sparse stage) is first reduced
-modulo each prime, as Python ints where it holds them, so its entries
-start in [0, p) with p < 2^26.  The update of a pair's two columns
+Why int64 does not overflow.  `_finish` takes a block as int64 only when
+its entries lie in (-2^62, 2^62): `_struck_laplacian` needs multiplicities
+below 2^62 // n, the sparse stage a largest diagonal entry below 2^62,
+which bounds every entry of its positive semidefinite block.  Such a block
+is eliminated from its raw entries; any other block holds Python ints and
+is first reduced modulo each prime, so its entries start in [0, p) with
+p < 2^26.  The update of a pair's two columns
 subtracts sums of at most _REDUCE_EVERY = 2^10 products of two residues,
 each below 2^52, so each sum is below 2^62, and reduces the result before
 the next such sum.  Both columns are reduced with their first update (the
@@ -166,29 +168,24 @@ def _bareiss(m: list[list[int]], prev: int) -> int:
 def _finish(mat: np.ndarray, prev: int) -> int:
     """τ from the dense active block of a struck Laplacian.
 
-    ``mat`` is the block as an int64 array, or an object array of Python
-    ints when its entries do not fit int64; ``prev`` is as for `_bareiss`.
+    ``mat`` is the block as an int64 array with entries inside ±2^62, or
+    else an object array of Python ints; ``prev`` is as for `_bareiss`.
     Blocks of fewer than _MODULAR_ROWS rows go to `_bareiss` as lists.
     Larger ones go to `_det_mod`, in chunks of at most _CHUNK_ENTRIES int64
-    entries, modulo primes that do not divide ``prev``.  An int64 block
-    whose entries lie strictly inside ±2^62 is copied into each chunk as it
-    is, and `_det_mod` reduces each pair of columns on first touch; any
-    other block is reduced modulo every prime of the chunk first.  Each
-    chunk takes only as many primes as the Hadamard bound on τ still needs;
-    a prime `_det_mod` finds unlucky (one dividing a nonzero leading minor
-    of even order) is dropped and the next chunk draws further primes,
-    until the primes combined exceed the bound.  The residues of τ are then
-    combined by the Chinese remainder theorem (the argument is in the
-    module docstring).
+    entries, modulo primes that do not divide ``prev``.  An int64 block is
+    copied into each chunk as it is, and `_det_mod` reduces each pair of
+    columns on first touch; an object block is reduced modulo every prime of
+    the chunk first.  Each chunk takes only as many primes as the Hadamard
+    bound on τ still needs; a prime `_det_mod` finds unlucky (one dividing a
+    nonzero leading minor of even order) is dropped and the next chunk draws
+    further primes, until the primes combined exceed the bound.  The
+    residues of τ are then combined by the Chinese remainder theorem (the
+    argument is in the module docstring).
     """
     k = len(mat)
     if k < _MODULAR_ROWS:
         return _bareiss(mat.tolist(), prev)
-    diag = mat.diagonal().tolist()
-    bound = prod(diag) // prev ** (k - 1)
-    # mat / prev is positive semidefinite, so no entry exceeds the largest
-    # diagonal entry in absolute value
-    raw = mat.dtype == np.int64 and max(diag) < 1 << 62
+    bound = prod(mat.diagonal().tolist()) // prev ** (k - 1)
     per_chunk = max(1, _CHUNK_ENTRIES // (k * k))
     supply = (p for p in _primes() if prev % p)
     value, modulus = 0, 1
@@ -202,7 +199,7 @@ def _finish(mat: np.ndarray, prev: int) -> int:
         if not chunk:  # the bound outgrows every prime below 2^26, about 2^(9.7 * 10^7)
             return _bareiss(mat.tolist(), prev)
         a = np.empty((len(chunk), k, k), dtype=np.int64)
-        if raw:
+        if mat.dtype == np.int64:
             a[:] = mat
         else:
             # residues straight into int64; object entries are reduced a
@@ -319,9 +316,10 @@ def tau(g: Graph) -> int:
 
     Once the next pivot row has a nonzero in at least 1/_DENSE_SHARE of
     the active columns, the active rows are brought up to date and handed
-    as an array, int64 or else of Python ints, with the last pivot, to
-    `_finish`.  Every row holds at least its diagonal, so the sparse stage
-    always ends this way, at the latest with _DENSE_SHARE rows left.
+    with the last pivot to `_finish`, as int64 when the largest diagonal
+    entry, which bounds every entry, is below 2^62, else as Python ints.
+    Every row holds at least its diagonal, so the sparse stage always ends
+    this way, at the latest with _DENSE_SHARE rows left.
 
     A graph that passes the test at the start, such as K_n, goes to
     `_finish` without building dicts: its struck Laplacian is built as one
@@ -368,11 +366,8 @@ def tau(g: Graph) -> int:
                 for j, x in rows[i].items():
                     line[col[j]] = x * prev // base
                 block.append(line)
-            try:
-                mat = np.array(block, dtype=np.int64)
-            except OverflowError:  # entries beyond int64 stay Python ints
-                mat = np.array(block, dtype=object)
-            return _finish(mat, prev)
+            wide = max(line[c] for c, line in enumerate(block)) >= 1 << 62
+            return _finish(np.array(block, dtype=object if wide else np.int64), prev)
         rows[v] = None
         active -= 1
         base = scale[v]

@@ -122,6 +122,43 @@ def test_usage_error_is_one_line(run, argv, fragment):
     assert fragment in err
 
 
+class TestErrorLineLimit:
+    """A rejected value or edge-list line too long to echo whole leaves one
+    error line cut to _ERROR_LIMIT characters, still led by the option or
+    the path and line number."""
+
+    @staticmethod
+    def check(run, argv, start):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(start) and err.endswith("...\n") and err.count("\n") == 1
+        assert len(err) - 1 <= cli._ERROR_LIMIT
+
+    @pytest.mark.parametrize("argv, start", [
+        (["tau", "--cycle", "3" * 5000], "error: argument --cycle: invalid int value"),
+        (["partitions", "--n", "3", "--class", "x" * 5000], "error: argument --class: invalid"),
+        (["tau", "--cycle", "3", "--format", "x" * 5000], "error: argument --format: invalid"),
+    ], ids=["cycle", "class", "format"])
+    def test_long_option_value(self, run, argv, start):
+        self.check(run, argv, start)
+
+    @pytest.mark.parametrize("text, line", [
+        ("n 3\n" + "0 " * 3_000_000 + "\n", 2),
+        ("n " + "3 " * 3_000_000 + "\n0 1\n", 1),
+    ], ids=["edge-line", "header"])
+    def test_long_edge_list_line(self, run, tmp_path, text, line):
+        target = tmp_path / "long.edgelist"
+        target.write_text(text)
+        self.check(run, ["tau", "--input", str(target)], f"error: {target}: line {line}: expected")
+
+    def test_limit_is_inclusive(self, run, monkeypatch):
+        line = "error: --flower must be comma-separated integers"
+        monkeypatch.setattr(cli, "_ERROR_LIMIT", len(line))
+        assert run("tau", "--flower", "x") == (2, "", line + "\n")
+        monkeypatch.setattr(cli, "_ERROR_LIMIT", len(line) - 1)
+        assert run("tau", "--flower", "x") == (2, "", line[:-4] + "...\n")
+
+
 @pytest.mark.parametrize("command", ["", *cli._COMMANDS])
 def test_help_prints_usage(run, command):
     code, out, err = run(*command.split(), "--help")

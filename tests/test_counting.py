@@ -676,6 +676,25 @@ class TestModularFinish:
             assert tau(g) == m ** (n - 1) * n ** (n - 2)
             assert dtypes.pop() == dtype
 
+    def test_sparse_handoff_inside_int64_bound(self, monkeypatch):
+        """Uniform K_30 of multiplicity M = 2^62 // 29 + 5 with one pendant
+        edge reaches `_finish` after one sparse step, its diagonal 29M past
+        2^62 although every entry fits int64: the handoff makes it an
+        object block, so every int64 block `_finish` takes lies inside
+        ±2^62."""
+        blocks = []
+
+        def spy(mat, prev):
+            blocks.append((mat.dtype, max(abs(int(x)) for x in mat.flat)))
+            return finish(mat, prev)
+
+        finish = spanning._finish
+        monkeypatch.setattr(spanning, "_finish", spy)
+        n, m = 30, 2**62 // 29 + 5
+        g = Graph(n + 1, ((0, n, 1), *((u, v, m) for u, v in combinations(range(n), 2))))
+        assert tau(g) == m ** (n - 1) * n ** (n - 2)
+        assert blocks and all(dtype != np.int64 or top < 2**62 for dtype, top in blocks)
+
     def test_large_complete_graphs(self):
         assert tau(complete(150)) == 150**148
         n, m = 120, 3

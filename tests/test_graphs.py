@@ -284,6 +284,32 @@ class TestEdgeListFormat:
         assert str(exc_info.value) == message
 
 
+# one faulty edge entry on 3 vertices, and the one message that both
+# Graph(...) and parse_edge_list (after its "line k: ") give for it
+_EDGE_FAULTS = [
+    ((1, 1), "self-loop at vertex 1"),
+    ((0, 3), "edge (0, 3) outside vertex range"),
+    ((3, 0), "edge (3, 0) outside vertex range"),
+    ((-1, 2), "edge (-1, 2) outside vertex range"),
+    ((2, -1), "edge (2, -1) outside vertex range"),
+    ((0, 1, 0), "multiplicity 0 must be >= 1"),
+    ((0, 1, -1), "multiplicity -1 must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("entry, message", _EDGE_FAULTS)
+def test_edge_fault_has_one_message(entry, message):
+    with pytest.raises(ValueError) as exc_info:
+        Graph(3, (entry,))
+    assert str(exc_info.value) == message
+    text = "n 3\n" + " ".join(map(str, entry)) + "\n"
+    # plain, and padded into a block of the bulk parser as TestEdgeListFormatBulk does
+    for form in (text, text.replace("\n", " " * (1 << 18) + "\n")):
+        with pytest.raises(EdgeListError) as exc_info:
+            parse_edge_list(form)
+        assert (exc_info.value.line_no, str(exc_info.value)) == (2, f"line 2: {message}")
+
+
 class TestEdgeListFormatBulk(TestEdgeListFormat):
     """The edge-list cases again, with every line padded by trailing spaces
     into a 256 KiB block of the bulk parser of its own.  The padding changes
