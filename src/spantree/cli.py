@@ -7,8 +7,8 @@ atlas files, not on stdout.  Exit codes: 0 success, 2 usage or input
 error (bad arguments, malformed edge lists or atlas files, unreadable or
 unwritable paths), 3 required atlas data missing.  Commands only compute;
 ``main`` alone renders their output and turns their errors, the parser's
-usage errors among them, into one ``error: ...`` line of at most
-_ERROR_LIMIT characters and an exit code.
+usage errors and a failed write of the output among them, into one
+``error: ...`` line of at most _ERROR_LIMIT characters and an exit code.
 
 ``main`` builds its parser once per process, on its first call, and reuses
 it; nothing is built at import.  So that a reused parser carries nothing
@@ -64,9 +64,9 @@ from .witness import flower, sidecar_json, witness_family
 
 _P_EXACT_LIMIT = 10_000
 
-# --list and witness refuse families larger than this, and tau refuses named
-# graphs with more edges.  Past _LIST_MAX_N every family is larger: appending
-# a part 3 shows that the odd-prime count never falls from n - 3 to n, and it
+# --list refuses families larger than this, and witness and tau refuse graphs
+# with more edges.  Past _LIST_MAX_N every family is larger: appending a part
+# 3 shows that the odd-prime count never falls from n - 3 to n, and it
 # exceeds the limit at 1998..2000.
 _LIST_LIMIT = 10**6
 _LIST_MAX_N = 2_000
@@ -118,10 +118,10 @@ def _cell(value: object) -> str:
     return "-" if value is None else f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-def _check_family_size(n: int, size: Callable[[int], int]) -> None:
-    """Refuse a family of more than _LIST_LIMIT members before building it."""
+def _check_family_size(n: int, size: Callable[[int], int], what: str) -> None:
+    """Refuse a family whose size (``what``) exceeds _LIST_LIMIT before building it."""
     if n > _LIST_MAX_N or size(n) > _LIST_LIMIT:
-        raise ValueError(f"--n {n}: more than {_LIST_LIMIT:,} members to list")
+        raise ValueError(f"--n {n}: more than {_LIST_LIMIT:,} {what}")
 
 
 def _check_count_n(option: str, n: int) -> None:
@@ -184,7 +184,7 @@ def _cmd_partitions(args: argparse.Namespace) -> _Output:
     payload = {"n": args.n, "class": part_class.value, "cumulative": args.cumulative}
     if args.list:
         size = p_set_size if args.cumulative else lambda n: count_partitions(n, part_class)
-        _check_family_size(args.n, size)
+        _check_family_size(args.n, size, "members to list")
         stream = p_set_enumerate(args.n) if args.cumulative else enumerate_partitions(
             args.n, part_class
         )
@@ -199,7 +199,7 @@ def _cmd_partitions(args: argparse.Namespace) -> _Output:
 def _cmd_witness(args: argparse.Namespace) -> _Output:
     if args.n < 3:
         raise ValueError("--n must be >= 3")
-    _check_family_size(args.n, p_set_size)
+    _check_family_size(args.n, lambda n: p_set_size(n) * n, "edges to build")  # >= n each
     out = None if args.emit is None else Path(args.emit)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -418,7 +418,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        out = _COMMANDS[args.command](args)
+        _render(args.format, _COMMANDS[args.command](args))
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return 0
     except SystemExit as exc:  # argparse exits only after --help
         return int(exc.code or 0)
     except _MissingAtlas as exc:
@@ -427,11 +429,10 @@ def main(argv: list[str] | None = None) -> int:
         message, code = f"{args.input}: {exc}", 2
     except (ValueError, OSError) as exc:
         message, code = str(exc), 2
+        if isinstance(exc, BrokenPipeError):  # else exit's flush of stdout fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except MemoryError:  # a size the limits allow that this process cannot hold
         message, code = "out of memory", 2
-    else:
-        _render(args.format, out)
-        return 0
     line = f"error: {message}"
     if len(line) > _ERROR_LIMIT:
         line = line[: _ERROR_LIMIT - 3] + "..."

@@ -13,16 +13,16 @@ the named constructors (`cycle`, `path`, `complete`) emit simple graphs.
 Public ``Graph(...)`` and the line loop of `parse_edge_list` check and merge
 every edge through one `_add_edge`: it refuses a self-loop, an endpoint
 outside 0..n-1 and a multiplicity below 1, and sums multiplicities on the
-integer pair key u * n + v, which `_canonical` sorts into triples.  Builders
-that already hold the canonical form skip that through the private
-`Graph._from_canonical`: `cycle`, `path` and `complete` (and the flowers and
-witnesses in ``witness.py``) emit their triples sorted, with distinct
-in-range endpoints by construction.  An edge list of plain digits, spaces
-and newlines is parsed in bulk by numpy instead, which reads every token
-with one ``np.fromstring``, sorts the keys and sums each run of equal keys:
-the vectorised image of the same check and merge, which the tests compare
-with the line loop.  Either way the result equals what ``Graph(...)`` would
-make of the same edges, so equality and hashing are unaffected.
+integer pair key u * n + v, which `_canonical` sorts into triples.  Code that
+holds the canonical form skips that through `Graph._from_canonical`, called
+only by `complete`, the two edge-list parsers and `_cactus`; the last lays
+out every other graph built here, rings glued at vertex 0 and a path on from
+it: `cycle`, `path`, flowers and witnesses.  An edge list of plain digits,
+spaces and newlines is parsed in bulk by numpy instead, which reads every
+token with one ``np.fromstring``, sorts the keys and sums each run of equal
+keys: the vectorised image of the same check and merge, which the tests
+compare with the line loop.  Either way the result equals what ``Graph(...)``
+would make of the same edges, so equality and hashing are unaffected.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -141,18 +142,41 @@ def _canonical(n: int, merged: dict[int, int]) -> tuple[tuple[int, int, int], ..
 
 def cycle(length: int) -> Graph:
     """The cycle on ``length`` >= 3 vertices."""
-    if length < 3:
-        raise ValueError(f"cycle length must be >= 3, got {length}")
-    rim = tuple((i, i + 1, 1) for i in range(1, length - 1))
-    return Graph._from_canonical(length, ((0, 1, 1), (0, length - 1, 1), *rim))
+    return _cactus((length,), length)
 
 
 def path(n_vertices: int) -> Graph:
     """The path on ``n_vertices`` >= 1 vertices; one vertex means no edges."""
     if n_vertices < 1:
         raise ValueError(f"path needs at least one vertex, got {n_vertices}")
-    edges = tuple((i, i + 1, 1) for i in range(n_vertices - 1))
-    return Graph._from_canonical(n_vertices, edges)
+    return _cactus((), n_vertices)
+
+
+def _cactus(rings: Sequence[int], n: int) -> Graph:
+    """Cycles of the given lengths glued at vertex 0, then a path from vertex 0
+    on through the remaining vertices to n - 1, for n >= sum(rings) -
+    len(rings) + 1; ValueError for a ring shorter than 3.
+
+    Each ring is the hub 0 and a run of consecutive vertices start..end, and
+    the path is the run after the last ring: spokes (0, v) join the hub to
+    each run's start and each ring's end, rungs (i, i + 1) join neighbours
+    within a run.  Spokes sort before rungs and both ascend, so the triples
+    are sorted, and distinct since each ring has x >= 3 vertices.
+    """
+    spokes: list[tuple[int, int, int]] = []
+    rungs: list[tuple[int, int, int]] = []
+    start = 1
+    for x in rings:
+        if x < 3:
+            raise ValueError(f"cycle length must be >= 3, got {x}")
+        end = start + x - 2
+        spokes += ((0, start, 1), (0, end, 1))
+        rungs += [(i, i + 1, 1) for i in range(start, end)]
+        start = end + 1
+    if start < n:
+        spokes.append((0, start, 1))
+        rungs += [(i, i + 1, 1) for i in range(start, n - 1)]
+    return Graph._from_canonical(n, (*spokes, *rungs))
 
 
 def complete(n_vertices: int) -> Graph:

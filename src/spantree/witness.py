@@ -7,6 +7,8 @@ of some s <= n into odd primes, gluing a path onto the flower pads the
 vertex count up to exactly n without changing the count (a tree block
 contributes a factor of 1).  Distinct partitions give distinct products,
 by unique factorization, so each partition yields its own realizable count.
+This module maps partitions onto ``graphs._cactus``, whose rings and tail
+are a flower and its path, and which lays out `cycle` and `path` too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from math import isqrt, prod
 from typing import Iterator, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _cactus
 from .partitions import Partition, p_set_enumerate
 from .partitions import primes_up_to  # noqa: F401  perfbench's tracer test wraps this import site
 
@@ -67,34 +69,7 @@ def flower(parts: Partition | Sequence[int]) -> Graph:
     lengths = tuple(parts.parts if isinstance(parts, Partition) else parts)
     if not lengths:
         raise ValueError("flower needs at least one cycle")
-    if any(x < 3 for x in lengths):
-        raise ValueError("cycle lengths must be >= 3")
-    n = sum(lengths) - len(lengths) + 1
-    return Graph._from_canonical(n, _flower_edges(lengths, n))
-
-
-def _flower_edges(lengths: Sequence[int], n: int) -> tuple[tuple[int, int, int], ...]:
-    """Canonical edges of `flower(lengths)` plus a path from the hub to vertex n - 1.
-
-    Each ring is the hub 0 and a run of consecutive vertices start..end, and
-    the path is the run after the last ring: spokes (0, v) join the hub to
-    each run's start and each ring's end, rungs (i, i + 1) join neighbours
-    within a run.  Spokes sort before rungs and both come in ascending order,
-    so the triples are sorted, and distinct since each ring has x >= 3
-    vertices.
-    """
-    spokes: list[tuple[int, int, int]] = []
-    rungs: list[tuple[int, int, int]] = []
-    start = 1
-    for x in lengths:
-        end = start + x - 2
-        spokes += ((0, start, 1), (0, end, 1))
-        rungs += [(i, i + 1, 1) for i in range(start, end)]
-        start = end + 1
-    if start < n:
-        spokes.append((0, start, 1))
-        rungs += [(i, i + 1, 1) for i in range(start, n - 1)]
-    return (*spokes, *rungs)
+    return _cactus(lengths, sum(lengths) - len(lengths) + 1)
 
 
 def build_witness(p: Partition, n: int) -> Witness:
@@ -103,9 +78,9 @@ def build_witness(p: Partition, n: int) -> Witness:
     Requires every part to be an odd prime and ``sum(parts) <= n``.  The
     flower has ``s - k + 1`` vertices, so a path on ``n - s + k`` vertices,
     merged endpoint-to-hub, lands on n exactly; a one-vertex path is the
-    degenerate no-op case.  Flower and path are emitted as one edge list:
-    the flower keeps its labels, the path starts at the hub and runs on
-    through vertices s - k + 1, ..., n - 1.
+    degenerate no-op case.  `_cactus` lays flower and path out as one
+    graph: the flower keeps its labels, the path starts at the hub and runs
+    on through vertices s - k + 1, ..., n - 1.
     """
     if not p.parts:
         raise ValueError("partition must be nonempty")
@@ -114,8 +89,7 @@ def build_witness(p: Partition, n: int) -> Witness:
         raise ValueError(f"partition sum {s} exceeds target vertex count {n}")
     if not all(_is_odd_prime(x) for x in set(p.parts)):
         raise ValueError("every part must be an odd prime")
-    g = Graph._from_canonical(n, _flower_edges(p.parts, n))
-    return Witness(partition=p, graph=g)
+    return Witness(partition=p, graph=_cactus(p.parts, n))
 
 
 def _is_odd_prime(x: int) -> bool:

@@ -241,6 +241,15 @@ class TestTau:
     def test_bad_flower_part(self, run):
         assert run("tau", "--flower", "3,2")[0] == 2
 
+    def test_short_ring_has_one_wording(self, run):
+        message = "cycle length must be >= 3, got 2"
+        for build in (lambda: spantree.cycle(2), lambda: spantree.flower((3, 2))):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+        assert run("tau", "--cycle", "2") == (2, "", f"error: {message}\n")
+        assert run("tau", "--flower", "3,2") == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("value", ["", "3,,5", "3,x", "3,5,"])
     def test_malformed_flower(self, run, value):
         message = "error: --flower must be comma-separated integers\n"
@@ -455,7 +464,66 @@ class TestWitness:
         monkeypatch.setattr(cli, "witness_family", build)
         code, out, err = run("witness", "--n", "142")
         assert (code, out) == (2, "")
-        assert err == "error: --n 142: more than 1,000,000 members to list\n"
+        assert err == "error: --n 142: more than 1,000,000 edges to build\n"
+
+    def test_edge_limit_is_inclusive(self, run, monkeypatch):
+        # 13,180 witnesses of at least 75 edges each: 988,500 <= 10^6; at
+        # n = 76 the bound reads 1,082,012
+        code, out, _ = run("witness", "--n", "75")
+        assert code == 0 and len(out.splitlines()) == 13_180
+
+        def build(n):
+            raise AssertionError("built a refused family")
+
+        monkeypatch.setattr(cli, "witness_family", build)
+        assert run("witness", "--n", "76") == (
+            2, "", "error: --n 76: more than 1,000,000 edges to build\n"
+        )
+
+    def test_render_out_of_memory_is_one_error_line(self, run, monkeypatch):
+        def exhausted(fmt, out):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_render", exhausted)
+        assert run("witness", "--n", "10", "--format", "json") == (
+            2, "", "error: out of memory\n"
+        )
+
+    @staticmethod
+    def buffered_env():
+        """This run's sources, and stdout buffered as a console script's is."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(spantree.__file__).resolve().parents[1])
+        return env
+
+    def test_closed_pipe_is_one_error_line(self):
+        # the 243,621-byte table overfills the pipe once its reader has gone
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spantree", "witness", "--n", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=self.buffered_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert first.startswith("3 ")
+        assert proc.returncode == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_pipe_without_reader_is_one_error_line(self):
+        # a table that fits stdout's buffer fails only at the final flush,
+        # which must leave nothing for the flush at exit to fail on again
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "spantree", "witness", "--n", "10"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=self.buffered_env(),
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     def test_emit_round_trips(self, run, tmp_path):
         emit = tmp_path / "out"

@@ -131,6 +131,26 @@ class TestBuildWitness:
         assert build_witness(p, n).graph == chained
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        parts=st.lists(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]), min_size=1, max_size=6),
+        pad=st.integers(0, 10),
+    )
+    def test_equals_validated_rings_and_tail(self, parts, pad):
+        # the rings and the tail drawn one edge at a time, checked by Graph(...)
+        p = Partition(tuple(sorted(parts)))
+        edges, start = [], 1
+        for x in p.parts:
+            ring = [0, *range(start, start + x - 1)]
+            edges += [(ring[i], ring[i - 1]) for i in range(x)]
+            start += x - 1
+        tail = [0, *range(start, p.total + pad)]
+        edges += zip(tail, tail[1:])
+        w = build_witness(p, p.total + pad)
+        assert w.graph == Graph(p.total + pad, tuple(edges))
+        assert tau(w.graph) == math.prod(p.parts)
+
+
 class TestFamily:
     def test_ten_vertex_family(self):
         ws = list(witness_family(10))
