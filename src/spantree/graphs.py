@@ -3,8 +3,13 @@
 Vertices are the integers ``0..n_vertices-1``.  Edges are unordered pairs
 carrying an integer multiplicity >= 1; self-loops are rejected outright
 because a loop can never lie on a spanning tree.  A graph is never changed
-after it is built, so instances can be shared freely between threads and
-worker processes.
+after it is built, so instances can be shared freely between threads.
+
+A graph stores its edges as three read-only numpy columns, endpoints
+``u < v`` and multiplicity ``m``, one entry per vertex pair, sorted by
+pair; int64 until a value reaches 2^62, Python ints from there on.  The
+property ``edges`` builds the tuple of ``(u, v, m)`` triples on access for
+callers; the package itself reads the columns.
 
 Multiplicities are the edge-list format's third column, and τ counts each
 parallel copy as its own edge (a doubled edge has two spanning trees).  All
@@ -13,16 +18,17 @@ the named constructors (`cycle`, `path`, `complete`) emit simple graphs.
 Public ``Graph(...)`` and the line loop of `parse_edge_list` check and merge
 every edge through one `_add_edge`: it refuses a self-loop, an endpoint
 outside 0..n-1 and a multiplicity below 1, and sums multiplicities on the
-integer pair key u * n + v, which `_canonical` sorts into triples.  Code that
-holds the canonical form skips that through `Graph._from_canonical`, called
-only by `complete`, the two edge-list parsers and `_cactus`; the last lays
-out every other graph built here, rings glued at vertex 0 and a path on from
-it: `cycle`, `path`, flowers and witnesses.  An edge list of plain digits,
-spaces and newlines is parsed in bulk by numpy instead, which reads every
-token with one ``np.fromstring``, sorts the keys and sums each run of equal
-keys: the vectorised image of the same check and merge, which the tests
-compare with the line loop.  Either way the result equals what ``Graph(...)``
-would make of the same edges, so equality and hashing are unaffected.
+integer pair key u * n + v, which `_columns` sorts into the columns.  Code
+that holds canonical columns skips that through `_graph`, called only by
+`complete` (from ``np.triu_indices``), the two edge-list parsers and
+`_cactus`; the last lays out every other graph built here, rings glued at
+vertex 0 and a path on from it: `cycle`, `path`, flowers and witnesses.  An
+edge list of plain digits, spaces and newlines is parsed in bulk by numpy
+instead, which reads every token with one ``np.fromstring``, sorts the keys
+and sums each run of equal keys: the vectorised image of the same check and
+merge, which the tests compare with the line loop, and its sorted columns
+are the graph's.  Either way the result equals what ``Graph(...)`` would
+make of the same edges, so equality and hashing are unaffected.
 """
 
 from __future__ import annotations
@@ -30,8 +36,6 @@ from __future__ import annotations
 import operator
 import os
 import re
-from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -56,32 +60,31 @@ class EdgeListError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
 class Graph:
     """A multigraph on ``n_vertices`` labeled vertices.
 
-    ``edges`` is stored canonically: one ``(u, v, multiplicity)`` triple per
-    vertex pair with ``u < v``, sorted lexicographically.  The constructor
-    accepts ``(u, v)`` pairs (multiplicity 1) or ``(u, v, m)`` triples with
-    endpoints in either order and normalizes; repeated entries for the same
-    pair have their multiplicities summed.  The vertex count, endpoints and
-    multiplicities may be any integers, numpy ones included, and are stored
-    as ``int``.  Equality and hashing follow the canonical form.
+    The edges are stored canonically as three read-only columns ``u``,
+    ``v`` and ``m``: one entry per vertex pair with ``u < v``, sorted
+    lexicographically, ``m`` its multiplicity.  Each column is int64, or an
+    object array of Python ints once one of its values reaches 2^62.  The
+    constructor accepts ``(u, v)`` pairs (multiplicity 1) or ``(u, v, m)``
+    triples with endpoints in either order and normalizes; repeated entries
+    for the same pair have their multiplicities summed.  The vertex count,
+    endpoints and multiplicities may be any integers, numpy ones included.
+    Equality and hashing follow the canonical form.
     """
 
-    n_vertices: int
-    edges: tuple[tuple[int, int, int], ...] = ()
+    __slots__ = ("n_vertices", "u", "v", "m")
 
-    def __post_init__(self) -> None:
+    def __new__(cls, n_vertices: int, edges: Sequence[Sequence[int]] = ()) -> Graph:
         try:
-            n = operator.index(self.n_vertices)
+            n = operator.index(n_vertices)
         except TypeError:
-            raise ValueError(f"vertex count {self.n_vertices!r} is not an integer") from None
+            raise ValueError(f"vertex count {n_vertices!r} is not an integer") from None
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        object.__setattr__(self, "n_vertices", n)
         merged: dict[int, int] = {}
-        for entry in self.edges:
+        for entry in edges:
             if len(entry) == 2:
                 u, v = entry
                 m = 1
@@ -96,28 +99,57 @@ class Graph:
                     f"edge entry {entry!r} has a non-integer endpoint or multiplicity"
                 ) from None
             _add_edge(merged, n, u, v, m)
-        object.__setattr__(self, "edges", _canonical(n, merged))
+        return _graph(n, *_columns(n, merged))
 
-    @classmethod
-    def _from_canonical(
-        cls, n_vertices: int, edges: tuple[tuple[int, int, int], ...]
-    ) -> Graph:
-        """A graph from edges already in canonical form, unchecked.
-
-        The caller guarantees what ``__post_init__`` would establish: a
-        nonnegative vertex count, and a tuple of triples ``(u, v, m)`` with
-        ``0 <= u < v < n_vertices`` and ``m >= 1``, strictly ascending, so no
-        pair repeats.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "n_vertices", n_vertices)
-        object.__setattr__(g, "edges", edges)
-        return g
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The canonical ``(u, v, multiplicity)`` triples, built on access."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.m.tolist()))
 
     @property
     def n_edges(self) -> int:
         """Number of edges counted with multiplicity."""
-        return sum(m for _, _, m in self.edges)
+        return sum(self.m.tolist())
+
+    def _key(self) -> tuple:
+        return self.n_vertices, *(
+            c.tobytes() if c.dtype == np.int64 else tuple(c) for c in (self.u, self.v, self.m)
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Graph) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        columns = ", ".join(f"{c}={getattr(self, c).tolist()}" for c in "uvm")
+        return f"Graph(n_vertices={self.n_vertices}, {columns})"
+
+    def __reduce__(self) -> tuple:
+        return _graph, (self.n_vertices, self.u, self.v, self.m)
+
+    def __setattr__(self, *_: object) -> None:
+        raise AttributeError("a Graph cannot be changed")
+
+    __delattr__ = __setattr__
+
+
+def _graph(n: int, u: np.ndarray, v: np.ndarray, m: np.ndarray) -> Graph:
+    """The graph on ``n`` vertices with canonical columns ``u, v, m``, which
+    it makes read-only, unchecked: the caller guarantees what ``Graph(...)``
+    would establish, a nonnegative ``n`` and pairs ``0 <= u < v < n``
+    strictly ascending with ``m >= 1``, in columns that are int64 unless a
+    value reaches 2^62."""
+    u.setflags(write=False)
+    v.setflags(write=False)
+    m.setflags(write=False)
+    g = object.__new__(Graph)
+    object.__setattr__(g, "n_vertices", n)
+    object.__setattr__(g, "u", u)
+    object.__setattr__(g, "v", v)
+    object.__setattr__(g, "m", m)
+    return g
 
 
 def _add_edge(merged: dict[int, int], n: int, u: int, v: int, m: int) -> None:
@@ -134,10 +166,12 @@ def _add_edge(merged: dict[int, int], n: int, u: int, v: int, m: int) -> None:
     merged[key] = merged.get(key, 0) + m
 
 
-def _canonical(n: int, merged: dict[int, int]) -> tuple[tuple[int, int, int], ...]:
-    """Sorted ``(u, v, m)`` triples from multiplicities keyed by ``u * n + v``,
-    ``u < v < n``; the keys sort as the pairs do."""
-    return tuple((key // n, key % n, merged[key]) for key in sorted(merged))
+def _columns(n: int, merged: dict[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical columns ``u, v, m`` from multiplicities keyed by ``u * n +
+    v``, ``u < v < n``; the keys sort as the pairs do."""
+    keys = sorted(merged)
+    columns = ([k // n for k in keys], [k % n for k in keys], [merged[k] for k in keys])
+    return tuple(np.array(c, np.int64 if max(c, default=0) < 1 << 62 else object) for c in columns)
 
 
 def cycle(length: int) -> Graph:
@@ -160,32 +194,40 @@ def _cactus(rings: Sequence[int], n: int) -> Graph:
     Each ring is the hub 0 and a run of consecutive vertices start..end, and
     the path is the run after the last ring: spokes (0, v) join the hub to
     each run's start and each ring's end, rungs (i, i + 1) join neighbours
-    within a run.  Spokes sort before rungs and both ascend, so the triples
+    within a run.  Spokes sort before rungs and both ascend, so the pairs
     are sorted, and distinct since each ring has x >= 3 vertices.
     """
-    spokes: list[tuple[int, int, int]] = []
-    rungs: list[tuple[int, int, int]] = []
+    spokes: list[int] = []  # the far ends of the spokes
+    lows: list[int] = []  # the rungs by their lower ends
+    highs: list[int] = []  # and by their upper ends
     start = 1
     for x in rings:
         if x < 3:
             raise ValueError(f"cycle length must be >= 3, got {x}")
         end = start + x - 2
-        spokes += ((0, start, 1), (0, end, 1))
-        rungs += [(i, i + 1, 1) for i in range(start, end)]
+        spokes += (start, end)
+        lows += range(start, end)
+        highs += range(start + 1, end + 1)
         start = end + 1
     if start < n:
-        spokes.append((0, start, 1))
-        rungs += [(i, i + 1, 1) for i in range(start, n - 1)]
-    return Graph._from_canonical(n, (*spokes, *rungs))
+        spokes.append(start)
+        lows += range(start, n - 1)
+        highs += range(start + 1, n)
+    e = len(spokes) + len(lows)
+    # both endpoint columns as the halves of one block
+    uv = np.fromiter([0] * len(spokes) + lows + spokes + highs, np.int64, 2 * e)
+    m = np.empty(e, dtype=np.int64)
+    m.fill(1)  # np.ones takes longer on the short columns of a witness
+    return _graph(n, uv[:e], uv[e:], m)
 
 
 def complete(n_vertices: int) -> Graph:
     """The complete graph on ``n_vertices`` >= 1 vertices."""
     if n_vertices < 1:
         raise ValueError(f"complete graph needs at least one vertex, got {n_vertices}")
-    return Graph._from_canonical(
-        n_vertices, tuple((u, v, 1) for u, v in combinations(range(n_vertices), 2))
-    )
+    # the pairs in lexicographic order
+    u, v = (c.astype(np.int64, copy=False) for c in np.triu_indices(n_vertices, 1))
+    return _graph(n_vertices, u, v, np.ones(len(u), dtype=np.int64))
 
 
 def format_edge_list(g: Graph) -> str:
@@ -196,7 +238,7 @@ def format_edge_list(g: Graph) -> str:
     output round-trips bit-exactly through `parse_edge_list`.
     """
     lines = [f"n {g.n_vertices}"]
-    for u, v, m in g.edges:
+    for u, v, m in zip(g.u.tolist(), g.v.tolist(), g.m.tolist()):
         lines.append(f"{u} {v}" if m == 1 else f"{u} {v} {m}")
     return "\n".join(lines) + "\n"
 
@@ -271,7 +313,7 @@ def _parse_bulk(text: str) -> Graph | None:
     runs = np.flatnonzero(np.diff(keys[order], prepend=-1))  # where each key starts
     m = np.add.reduceat(m[order], runs)
     order = order[runs]
-    return Graph._from_canonical(n, tuple(zip(u[order].tolist(), v[order].tolist(), m.tolist())))
+    return _graph(n, u[order], v[order], m)
 
 
 def _parse_block(block: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -331,4 +373,4 @@ def _parse_lines(text: str) -> Graph:
             raise EdgeListError(line_no, str(exc)) from None
     if n_vertices is None:
         raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")
-    return Graph._from_canonical(n_vertices, _canonical(n_vertices, merged))
+    return _graph(n_vertices, *_columns(n_vertices, merged))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from math import isqrt
 from typing import Iterator
 
@@ -52,7 +51,7 @@ class Partition:
         if list(self.parts) != sorted(self.parts):
             raise ValueError("parts must be weakly increasing")
 
-    @cached_property
+    @property
     def total(self) -> int:
         return sum(self.parts)
 

@@ -20,7 +20,7 @@ takes the active block as a numpy array: below _MODULAR_ROWS rows to
 left-looking block LDL^T elimination of its residues modulo a batch of
 primes, two columns at a time.  Neither swaps rows.  A graph dense from
 the start skips the sparse stage: its struck Laplacian is built as one
-array straight from the edges.
+array straight from the graph's edge columns.
 
 Why the multimodular finish is exact.  Let B be the k x k active block left
 after pivots p_1..p_t, and prev = p_t (1 when nothing was eliminated).  B /
@@ -119,23 +119,17 @@ _REDUCE_EVERY = 1 << 10
 def _struck_laplacian(g: Graph) -> np.ndarray:
     """The Laplacian of ``g`` with vertex 0's row and column struck.
 
-    An int64 array when every multiplicity is below 2^62 // n, so each
-    diagonal entry, a sum of at most n - 1 of them, stays below 2^62;
-    otherwise an object array of Python ints, built by the same code.
-    ``g`` has at least one edge.
+    Assigned straight from the graph's columns: an int64 array when every
+    multiplicity is below 2^62 // n, so each diagonal entry, a sum of at
+    most n - 1 of them, stays below 2^62; otherwise an object array of
+    Python ints, built by the same code.  ``g`` has at least one edge.
     """
     n = g.n_vertices
-    count = 3 * len(g.edges)
-    try:
-        flat = np.fromiter(chain.from_iterable(g.edges), np.int64, count)
-    except OverflowError:
-        flat = None
-    if flat is None or flat[2::3].max() >= (1 << 62) // n:
-        flat = np.fromiter(chain.from_iterable(g.edges), object, count)
-    u, v, m = flat.reshape(-1, 3).T
-    u, v = u.astype(np.intp), v.astype(np.intp)
-    lap = np.zeros((n, n), dtype=flat.dtype)
-    lap[u, v] = lap[v, u] = -m
+    m = g.m
+    if m.max() >= (1 << 62) // n:
+        m = m.astype(object)
+    lap = np.zeros((n, n), dtype=m.dtype)
+    lap[g.u, g.v] = lap[g.v, g.u] = -m
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap[1:, 1:]
 
@@ -323,26 +317,26 @@ def tau(g: Graph) -> int:
 
     A graph that passes the test at the start, such as K_n, goes to
     `_finish` without building dicts: its struck Laplacian is built as one
-    array from the edges, and its row sizes are counted there.  Only a graph
-    with enough edges for the test to pass builds that array, so a sparse
-    graph such as a long cycle allocates nothing of size n^2.
+    array from the edge columns, and its row sizes are counted there.  Only
+    a graph with enough edges for the test to pass builds that array, so a
+    sparse graph such as a long cycle allocates nothing of size n^2.
     """
     n = g.n_vertices
     if n <= 1:
         return n
-    if len(g.edges) < n - 1:
+    if len(g.u) < n - 1:
         return 0
     active = n - 1
     # a row of the struck Laplacian has at most 1 + (its vertex's neighbours)
     # nonzeros, so the rows hold at most n - 1 + 2|E| in all; if the smallest
     # holds active / _DENSE_SHARE, then active^2 <= _DENSE_SHARE * that sum
-    if active * (active - _DENSE_SHARE) <= 2 * _DENSE_SHARE * len(g.edges):
+    if active * (active - _DENSE_SHARE) <= 2 * _DENSE_SHARE * len(g.u):
         block = _struck_laplacian(g)
         if _DENSE_SHARE * np.count_nonzero(block, axis=1).min() >= active:
             return _finish(block, 1)
 
     rows: list[dict[int, int] | None] = [None] + [{v: 0} for v in range(1, n)]
-    for u, v, m in g.edges:  # u < v, so only u can be the struck vertex 0
+    for u, v, m in zip(g.u.tolist(), g.v.tolist(), g.m.tolist()):  # u < v: only u can be 0
         rows[v][v] += m
         if u:
             rows[u][u] += m

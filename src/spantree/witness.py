@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt, prod
 from typing import Iterator, Sequence
 
@@ -87,11 +88,12 @@ def build_witness(p: Partition, n: int) -> Witness:
     s = p.total
     if s > n:
         raise ValueError(f"partition sum {s} exceeds target vertex count {n}")
-    if not all(_is_odd_prime(x) for x in set(p.parts)):
+    if not all(map(_is_odd_prime, set(p.parts))):
         raise ValueError("every part must be an odd prime")
     return Witness(partition=p, graph=_cactus(p.parts, n))
 
 
+@cache  # a family asks about the same few parts thousands of times
 def _is_odd_prime(x: int) -> bool:
     return x > 2 and x % 2 == 1 and all(x % d for d in range(3, isqrt(x) + 1, 2))
 

@@ -12,11 +12,13 @@ extensions' counts are one ``tau`` of one ``Graph`` each instead of a
 subset tree over L_G, a graph's exact canonical code is its least code
 over all k! relabellings instead of one colour-refinement relabelling,
 connectivity is a breadth-first search (the check on the brute force's
-union-find), unrestricted partition counts are the one-part-at-a-time
-dynamic program instead of Euler's pentagonal recurrence, partitions are
-listed by nested generators over a trial-division pool instead of an
-explicit stack over a sieved one, and the float formulas are evaluated in
-linear space instead of log-space.  Slow and simple on purpose.
+union-find), a graph's canonical edges are merged on sorted pairs instead
+of on integer keys into numpy columns, unrestricted partition counts are
+the one-part-at-a-time dynamic program instead of Euler's pentagonal
+recurrence, partitions are listed by nested generators over a
+trial-division pool instead of an explicit stack over a sieved one, and
+the float formulas are evaluated in linear space instead of log-space.
+Slow and simple on purpose.
 """
 from __future__ import annotations
 
@@ -167,6 +169,17 @@ def laplacian(g: Graph) -> list[list[int]]:
         mat[u][v] -= m
         mat[v][u] -= m
     return mat
+
+
+def canonical(edges: Iterable[tuple[int, ...]]) -> tuple[tuple[int, int, int], ...]:
+    """The canonical ``(u, v, m)`` triples of edge entries, pairs ``(u, v)``
+    (multiplicity 1) or triples ``(u, v, m)`` in either endpoint order: one
+    per vertex pair with ``u < v`` and the multiplicities summed, sorted."""
+    merged: dict[tuple[int, int], int] = {}
+    for u, v, *m in edges:
+        pair = (min(u, v), max(u, v))
+        merged[pair] = merged.get(pair, 0) + (m[0] if m else 1)
+    return tuple((u, v, m) for (u, v), m in sorted(merged.items()))
 
 
 def connects(n: int, pairs: Iterable[tuple[int, int]]) -> bool:

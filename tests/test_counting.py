@@ -15,6 +15,8 @@ from spantree import (
     build_witness,
     complete,
     cycle,
+    format_edge_list,
+    parse_edge_list,
     path,
     tau,
 )
@@ -58,6 +60,17 @@ class TestLaplacian:
             g = Graph(n, edges)
             block = spanning._struck_laplacian(g)
             assert block.dtype == (object if wide else np.int64)
+            assert block.tolist() == principal_minor(laplacian(g), 0)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_array_builder_bound_in_int64_column(self, n):
+        """A multiplicity of 2^62 // n or more takes the object Laplacian
+        while its column is still int64; one less stays int64."""
+        for top, dtype in ((2**62 // n - 1, np.int64), (2**62 // n, object), (2**62 - 1, object)):
+            g = Graph(n, ((0, 1, top),) + tuple((v, v + 1) for v in range(1, n - 1)))
+            assert g.m.dtype == np.int64
+            block = spanning._struck_laplacian(g)
+            assert block.dtype == dtype
             assert block.tolist() == principal_minor(laplacian(g), 0)
 
 
@@ -123,6 +136,29 @@ class TestTau:
             u = rng.randrange(a.n_vertices)
             v = rng.randrange(b.n_vertices)
             assert tau(identify(a, u, b, v)) == tau(a) * tau(b)
+
+    def test_reads_columns_only(self, monkeypatch):
+        """Neither the builders, the edge-list round trip nor `tau` build the
+        tuple of triples: multigraphs like the dense benchmark's (edge
+        probability 0.55-0.85, multiplicities 1-3), K_40 and a cycle are
+        counted with `Graph.edges` made to raise."""
+        rng = random.Random(29)
+        dense = []
+        for n in (35, 42):
+            p = rng.uniform(0.55, 0.85)
+            pairs = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+            dense.append(Graph(n, tuple((u, v, rng.randint(1, 3)) for u, v in pairs)))
+        expected = [det_bareiss(principal_minor(laplacian(g), 0)) for g in dense]
+
+        def unread(g):
+            raise AssertionError("Graph.edges was read")
+
+        monkeypatch.setattr(Graph, "edges", property(unread))
+        for g, want in zip(dense, expected):
+            assert tau(parse_edge_list(format_edge_list(g))) == want
+        assert tau(complete(40)) == 40**38
+        assert tau(cycle(300)) == 300
+        assert tau(Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0, 2)))) == 7
 
 
 class TestBruteForce:

@@ -1,5 +1,7 @@
+import pickle
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +12,20 @@ from spantree import graphs
 from spantree import (
     EdgeListError,
     Graph,
+    Partition,
+    build_witness,
     complete,
     cycle,
+    flower,
     format_edge_list,
     parse_edge_list,
     path,
     tau,
+    witness_family,
 )
 
 from oracles import (
+    canonical,
     connects,
     contract_edge,
     degree,
@@ -443,8 +450,8 @@ class TestBulkParse:
 class TestTrustedConstruction:
     """Builders that skip validation produce what validation would produce.
 
-    Equality compares the stored edge tuples, so it holds only if the
-    unvalidated builder stored exactly the canonical tuple.
+    Equality compares the stored columns, so it holds only if the
+    unvalidated builder stored exactly the canonical columns.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -480,3 +487,112 @@ class TestTrustedConstruction:
     def test_complete(self, k):
         pairs = tuple((v, u) for u in range(k) for v in range(u + 1, k))
         assert complete(k) == Graph(k, pairs)
+
+
+# multiplicities on both sides of 2^62, where a column leaves int64
+_MULTIPLICITIES = st.one_of(
+    st.integers(1, 3),
+    st.sampled_from([2**62 - 1, 2**62, 2**63 + 1]),
+    st.integers(1, 2**65),
+)
+
+
+@st.composite
+def multigraph_entries(draw):
+    """A vertex count and edge entries on it: pairs and triples with
+    endpoints in either order, some pairs repeated."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, []
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    drawn = draw(st.lists(st.tuples(pair, st.none() | _MULTIPLICITIES), max_size=20))
+    entries = [(u, v) if m is None else (u, v, m) for (u, v), m in drawn]
+    if entries:
+        entries += draw(st.lists(st.sampled_from(entries), max_size=8))
+    return n, draw(st.permutations(entries))
+
+
+def check_columns(g):
+    """Each column is read-only, and int64 unless a value reaches 2^62."""
+    for column in (g.u, g.v, g.m):
+        assert not column.flags.writeable
+        assert column.dtype == (np.int64 if max(column.tolist(), default=0) < 2**62 else object)
+
+
+class TestColumns:
+    """A graph is its vertex count and three canonical columns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=multigraph_entries())
+    def test_columns_hold_the_canonical_triples(self, graph):
+        n, entries = graph
+        g = Graph(n, entries)
+        assert g.edges == canonical(entries)
+        check_columns(g)
+        assert {type(x) for edge in g.edges for x in edge} <= {int}
+        text = format_edge_list(g)
+        for parse in (parse_edge_list, graphs._parse_lines):
+            got = parse(text)
+            assert got == g and hash(got) == hash(g)
+        bulk = graphs._parse_bulk(text)
+        if max(g.m.tolist(), default=0) * len(g.m) < 2**62:  # the bulk parser's sum bound
+            assert bulk == g and hash(bulk) == hash(g)
+            check_columns(bulk)
+        else:
+            assert bulk is None
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        check_columns(copy)
+
+    @settings(max_examples=50, deadline=None)
+    @given(graph=multigraph_entries())
+    def test_graph_cannot_be_changed(self, graph):
+        g = Graph(*graph)
+        for column in (g.u, g.v, g.m):
+            if len(column):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 5
+        for name in ("n_vertices", "u", "v", "m", "edges", "other"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(g, name)
+        assert g == Graph(*graph)
+
+    def test_endpoints_past_2_62(self):
+        big = 2**70
+        g = Graph(big, ((2**69, 5, 2**62), (0, 2**69)))
+        assert g.edges == ((0, 2**69, 1), (5, 2**69, 2**62))
+        assert (g.u.dtype, g.v.dtype, g.m.dtype) == (np.int64, object, object)
+        assert parse_edge_list(format_edge_list(g)) == g
+        assert pickle.loads(pickle.dumps(g)) == g
+        assert tau(g) == 0
+
+    def test_unequal_graphs(self):
+        g = Graph(3, ((0, 1), (1, 2)))
+        for other in (Graph(4, g.edges), Graph(3, ((0, 1), (1, 2, 2))), Graph(3, ((0, 1), (0, 2)))):
+            assert other != g
+        assert g != g.edges and Graph(0) != Graph(1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(3), cycle(50), path(1), path(2), path(40), complete(1), complete(2), complete(30),
+         flower((3, 3, 5)), flower((7,)), build_witness(Partition((3, 5, 7)), 30).graph]
+        + [w.graph for w in witness_family(13)],
+    )
+    def test_builders_store_canonical_columns(self, g):
+        again = Graph(g.n_vertices, g.edges)
+        assert again == g and hash(again) == hash(g)
+        check_columns(g)
+
+    def test_long_cycle_footprint(self):
+        # three int64 columns of 10^6 entries take 24 MB; one tuple of three
+        # ints per edge took about 130 MB
+        tracemalloc.start()
+        try:
+            g = cycle(10**6)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.n_edges == 10**6
+        assert held <= 40 * 10**6
