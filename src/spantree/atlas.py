@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 import time
 from bisect import bisect_left
@@ -330,14 +331,22 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     type, 1 <= n <= ``HARD_CAP``, and ``values`` strictly ascending positive
     decimal strings, ``size`` of them, from 1 (a tree) to the count of the
     complete graph (Cayley's n^(n-2)), ``graphs_scanned`` 2^C(n,2) and
-    ``elapsed_ms`` >= 0.  A file of more than ``_ATLAS_FILE_LIMIT`` bytes
-    is rejected before it is parsed, and a value string longer than
-    Cayley's count before any value is converted.
+    ``elapsed_ms`` from 0 to the largest float.  A file of more than
+    ``_ATLAS_FILE_LIMIT`` bytes is rejected before it is parsed, text that
+    is not UTF-8 or holds a JSON integer past ``int()``'s digit limit is
+    not JSON, and a value string longer than Cayley's count is rejected
+    before any value is converted.  Each check on ``values`` is one pass in
+    C over the whole list (a join, ``all``, ``max`` or ``map``), not a
+    Python loop over the values.
     """
     try:
-        payload = json.loads(read_text_bounded(path, _ATLAS_FILE_LIMIT))
-    except (json.JSONDecodeError, UnicodeDecodeError,
-            RecursionError) as exc:  # deep nesting recurses
+        text = read_text_bounded(path, _ATLAS_FILE_LIMIT)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from exc
+    try:
+        payload = json.loads(text)
+    # an integer past int()'s digit limit raises a plain ValueError, and deep nesting recurses
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: not a JSON object")
@@ -345,29 +354,36 @@ def load_atlas(path: str | Path) -> AtlasRecord:
         if type(payload.get(key)) is not kind:
             raise ValueError(f"{path}: field {key!r} missing or not {kind.__name__}")
     raw = payload["values"]
-    if not all(type(s) is str and s.isascii() and s.isdigit() for s in raw):
+    try:
+        joined = "".join(raw)
+    except TypeError:  # a value that is not a string
+        joined = ""
+    # ASCII digits throughout, and all() finds any empty string
+    if raw and not (joined.isascii() and joined.isdigit() and all(raw)):
         raise ValueError(f"{path}: values must be decimal strings")
     n = payload["n"]
     if not 1 <= n <= HARD_CAP:  # the cap also keeps n^(n-2) below cheap
         raise ValueError(f"{path}: n must be >= 1 and <= {HARD_CAP}")
     cayley = n ** (n - 2) if n > 2 else 1
     digits = len(str(cayley))
-    if any(len(s) > digits for s in raw):  # before int(), which refuses 4,300+ digits
+    if max(map(len, raw), default=0) > digits:  # before int(), which refuses 4,300+ digits
         raise ValueError(f"{path}: values must have at most {digits} digits")
     values = tuple(map(int, raw))
     if payload["size"] != len(values):
         raise ValueError(f"{path}: size is {payload['size']} but there are {len(values)} values")
-    if any(a >= b for a, b in zip(values, values[1:])):
+    if not all(map(operator.lt, values, values[1:])):
         raise ValueError(f"{path}: values must be strictly ascending")
     if values[:1] != (1,) or values[-1:] != (cayley,):
         raise ValueError(f"{path}: values must be positive, from 1 (a tree) to {cayley} "
                          f"(the complete graph)")
-    record = AtlasRecord(n=n, values=values, elapsed=payload["elapsed_ms"] / 1000.0)
-    if payload["graphs_scanned"] != record.graphs_scanned:
-        raise ValueError(f"{path}: graphs_scanned must be {record.graphs_scanned} (2^C(n,2))")
+    scanned = 1 << (n * (n - 1) // 2)  # AtlasRecord.graphs_scanned
+    if payload["graphs_scanned"] != scanned:
+        raise ValueError(f"{path}: graphs_scanned must be {scanned} (2^C(n,2))")
     if payload["elapsed_ms"] < 0:
         raise ValueError(f"{path}: elapsed_ms must be >= 0")
-    return record
+    if payload["elapsed_ms"] > sys.float_info.max:  # / 1000.0 would overflow
+        raise ValueError(f"{path}: elapsed_ms must be at most {sys.float_info.max}")
+    return AtlasRecord(n=n, values=values, elapsed=payload["elapsed_ms"] / 1000.0)
 
 
 def load_atlas_dir(directory: str | Path) -> dict[int, AtlasRecord]:

@@ -247,14 +247,21 @@ def read_text_bounded(path: str | Path, limit: int) -> str:
     """The UTF-8 text of a file, read only up to one byte past ``limit``: a
     larger (or endless) file raises ValueError naming the path.  The file
     is opened without blocking, so a FIFO with no writer reads as empty
-    instead of waiting for one."""
+    instead of waiting for one, then read with plain ``os.read`` calls on
+    the descriptor, which cost less than a buffered file object; an
+    OSError names the path, as ``open`` would."""
     data = bytearray()
-    with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NONBLOCK)) as handle:
-        os.set_blocking(handle.fileno(), True)
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        os.set_blocking(fd, True)
         # in blocks, as read(limit + 1) would allocate limit + 1 bytes every call;
         # the last block ends at limit + 1 bytes, after which read(0) is empty
-        while block := handle.read(min(1 << 16, limit + 1 - len(data))):
+        while block := os.read(fd, min(1 << 16, limit + 1 - len(data))):
             data += block
+    except OSError as exc:  # a directory fails here, and os.read names no file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
     if len(data) > limit:
         raise ValueError(f"{path}: larger than {limit:,} bytes")
     return data.decode("utf-8")

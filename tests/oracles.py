@@ -1,7 +1,7 @@
 """Independent reference implementations the tests compare against.
 
-Nothing in here shares code paths with what it checks: spanning trees are
-counted by brute force over every (n-1)-edge subset and by the
+Nothing in here shares code paths with what it checks: spanning trees
+are counted by brute force over every (n-1)-edge subset and by the
 deletion-contraction recurrence instead of by elimination, the Laplacian
 is a list of lists filled edge by edge instead of one numpy array, the
 determinant is cofactor expansion, or for larger matrices elimination
@@ -9,15 +9,17 @@ with row swaps of any square matrix, instead of τ's elimination without
 row swaps of positive semidefinite blocks, the atlas is a scan of every
 labelled edge subset instead of an extension of isomorphism classes, the
 extensions' counts are one ``tau`` of one ``Graph`` each instead of a
-subset tree over L_G, a graph's exact canonical code is its least code
-over all k! relabellings instead of one colour-refinement relabelling,
-connectivity is a breadth-first search (the check on the brute force's
-union-find), a graph's canonical edges are merged on sorted pairs instead
-of on integer keys into numpy columns, unrestricted partition counts are
-the one-part-at-a-time dynamic program instead of Euler's pentagonal
-recurrence, partitions are listed by nested generators over a
-trial-division pool instead of an explicit stack over a sieved one, and
-the float formulas are evaluated in linear space instead of log-space.
+subset tree over L_G, an atlas file's values are checked one value at a
+time in Python instead of by whole-list passes in C, a graph's exact
+canonical code is its least code over all k! relabellings instead of one
+colour-refinement relabelling, connectivity is a breadth-first search
+(the check on the brute force's union-find), a graph's canonical edges
+are merged on sorted pairs instead of on integer keys into numpy
+columns, unrestricted partition counts are the one-part-at-a-time
+dynamic program instead of Euler's pentagonal recurrence, partitions are
+listed by nested generators over a trial-division pool instead of an
+explicit stack over a sieved one, and the float formulas are evaluated
+in linear space instead of log-space.
 Slow and simple on purpose.
 """
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from spantree import Graph, PartClass, Partition, tau
+from spantree import HARD_CAP, AtlasRecord, Graph, PartClass, Partition, tau
 
 # p(0)..p(10), then two classics, all long-published table values
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -375,6 +377,42 @@ def mask_scan_atlas(n: int, batch: int = 1 << 16) -> tuple[int, ...]:
     for lo in range(0, total, batch):
         values |= _scan_batch(n, lo, min(lo + batch, total))
     return tuple(sorted(values))
+
+
+def check_atlas_payload(path, payload) -> AtlasRecord:
+    """``load_atlas``'s checks on the parsed JSON ``payload`` of the file
+    at ``path``, each value checked and compared in a Python loop: the
+    record, or a ValueError with ``load_atlas``'s message."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    for key, kind in {"n": int, "size": int, "values": list,
+                      "graphs_scanned": int, "elapsed_ms": int}.items():
+        if type(payload.get(key)) is not kind:
+            raise ValueError(f"{path}: field {key!r} missing or not {kind.__name__}")
+    raw = payload["values"]
+    if not all(type(s) is str and s.isascii() and s.isdigit() for s in raw):
+        raise ValueError(f"{path}: values must be decimal strings")
+    n = payload["n"]
+    if not 1 <= n <= HARD_CAP:
+        raise ValueError(f"{path}: n must be >= 1 and <= {HARD_CAP}")
+    cayley = n ** (n - 2) if n > 2 else 1
+    digits = len(str(cayley))
+    if any(len(s) > digits for s in raw):
+        raise ValueError(f"{path}: values must have at most {digits} digits")
+    values = tuple(int(s) for s in raw)
+    if payload["size"] != len(values):
+        raise ValueError(f"{path}: size is {payload['size']} but there are {len(values)} values")
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise ValueError(f"{path}: values must be strictly ascending")
+    if values[:1] != (1,) or values[-1:] != (cayley,):
+        raise ValueError(f"{path}: values must be positive, from 1 (a tree) to {cayley} "
+                         f"(the complete graph)")
+    scanned = 1 << (n * (n - 1) // 2)
+    if payload["graphs_scanned"] != scanned:
+        raise ValueError(f"{path}: graphs_scanned must be {scanned} (2^C(n,2))")
+    if payload["elapsed_ms"] < 0:
+        raise ValueError(f"{path}: elapsed_ms must be >= 0")
+    return AtlasRecord(n=n, values=values, elapsed=payload["elapsed_ms"] / 1000.0)
 
 
 def extension_taus_per_graph(n: int, codes) -> set[int]:

@@ -29,6 +29,7 @@ from spantree import (
 from oracles import (
     ATLAS_3,
     ATLAS_4,
+    check_atlas_payload,
     degree,
     extension_taus_per_graph,
     graph_of_code,
@@ -82,7 +83,62 @@ _MALFORMED = {
         r"graphs_scanned must be 8 \(2\^C\(n,2\)\)",
     ),
     "negative-elapsed": ("atlas_3.json", json.dumps(dict(_GOOD, elapsed_ms=-1)), "elapsed_ms"),
+    "huge-elapsed": (
+        "atlas_3.json",
+        json.dumps(dict(_GOOD, elapsed_ms=10**400)),
+        "atlas_3.json: elapsed_ms must be at most 1.7976931348623157e",
+    ),
+    "long-size": (  # more digits than json.loads converts by default
+        "atlas_3.json",
+        json.dumps(_GOOD).replace('"size": 2', '"size": 2' + "0" * 5000),
+        r"atlas_3.json: not JSON \(",
+    ),
+    "no-values": ("atlas_3.json", json.dumps(dict(_GOOD, size=0, values=[])), "from 1"),
+    "empty-value": ("atlas_3.json", json.dumps(dict(_GOOD, values=["1", ""])), "decimal"),
+    "int-value": ("atlas_3.json", json.dumps(dict(_GOOD, values=[1, 3])), "decimal"),
+    "arabic-digit": ("atlas_3.json", json.dumps(dict(_GOOD, values=["1", "\u0663"])), "decimal"),
 }
+
+# what a mutation of an atlas's values puts in place of a value
+_ODD_VALUES = st.one_of(
+    st.integers(-3, 10**6),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["", "\u0663", "\u00b2", "1\u0663", " 3", "3 ", "-3", "+3", "1_0", "3.0"]),
+    st.text(alphabet="0123456789\u0663\u00b2", max_size=12),
+)
+
+_MUTATIONS = ["put", "lead-zero", "duplicate", "swap", "too-long", "drop", "clear", "size"]
+
+
+def _mutate(record: AtlasRecord, mutations) -> dict:
+    """The payload ``save_atlas`` writes for ``record``, its ``values``
+    changed by each (kind, index, odd value) in turn; ``size`` counts the
+    values, off by -2..2 after a "size" mutation."""
+    digits = len(str(record.values[-1]))  # Cayley's count for n >= 2
+    values: list = [str(v) for v in record.values]
+    skew = 0
+    for kind, index, odd in mutations:
+        i = index % len(values) if values else 0
+        if kind == "clear" or not values:
+            values = []
+        elif kind == "put":
+            values[i] = odd
+        elif kind == "lead-zero" and isinstance(values[i], str):
+            values[i] = "0" + values[i]
+        elif kind == "duplicate":
+            values[i] = values[i - 1]
+        elif kind == "swap" and i + 1 < len(values):
+            values[i], values[i + 1] = values[i + 1], values[i]
+        elif kind == "too-long":
+            values[i] = "1" + "0" * digits
+        elif kind == "drop":
+            del values[i]
+        elif kind == "size":
+            skew = index % 5 - 2
+    return {"n": record.n, "size": len(values) + skew, "values": values,
+            "graphs_scanned": record.graphs_scanned, "elapsed_ms": 0}
 
 
 def _random_connected(rng: random.Random, k: int, count: int) -> list[int]:
@@ -98,6 +154,11 @@ def _random_connected(rng: random.Random, k: int, count: int) -> list[int]:
 @pytest.fixture(scope="module")
 def small_atlases():
     return {n: exact_atlas(n) for n in range(1, 7)}
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scratch")
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +401,27 @@ class TestPersistence:
         cache = load_atlas_dir(tmp_path)
         assert sorted(cache) == [2, 3, 5]
         assert cache[3].values == small_atlases[3].values
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.lists(st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 399), _ODD_VALUES),
+                 max_size=3),
+    )
+    def test_value_checks_match_reference(self, small_atlases, scratch_dir, n, mutations):
+        # the same record, or the same message, as value-at-a-time checks
+        payload = _mutate(small_atlases[n], mutations)
+        target = scratch_dir / atlas_filename(n)
+        target.write_text(json.dumps(payload))
+
+        def outcome(check, *args):
+            try:
+                return check(*args)
+            except ValueError as exc:
+                return str(exc)
+
+        want = outcome(check_atlas_payload, target, json.loads(target.read_text()))
+        assert outcome(load_atlas, target) == want
 
     @pytest.mark.parametrize("case", sorted(_MALFORMED))
     def test_malformed_file_rejected(self, tmp_path, case):

@@ -30,6 +30,9 @@ FAILING = [
     "alpha --m 3 --atlas-dir {bad}/longvalue",
     "bounds --max-n 3 --atlas-dir {bad}/novalues",
     "bounds --max-n 3 --atlas-dir {bad}/hugen",
+    "alpha --m 3 --atlas-dir {bad}/hugeelapsed",
+    "bounds --max-n 3 --atlas-dir {bad}/hugeelapsed",
+    "alpha --m 3 --atlas-dir {bad}/longint",
 ]
 
 
@@ -60,6 +63,7 @@ def bad_inputs(tmp_path_factory):
     (directory / "latin1.edgelist").write_bytes(b"# caf\xe9\nn 2\n0 1\n")
     one = {"n": 1, "size": 1, "values": ["1"], "graphs_scanned": 1, "elapsed_ms": 0}
     two = {"n": 2, "size": 2, "values": ["1", "2"], "graphs_scanned": 2, "elapsed_ms": 0}
+    three = {"n": 3, "size": 2, "values": ["1", "3"], "graphs_scanned": 8, "elapsed_ms": 0}
     for name, files in {
         "nonjson": {"atlas_1.json": "not json{"},
         "notutf8": {"atlas_1.json": "\xff"},
@@ -70,6 +74,10 @@ def bad_inputs(tmp_path_factory):
         "hugen": {"atlas_1000000000.json": json.dumps(dict(one, n=10**9))},
         # more digits than int() converts by default
         "longvalue": {"atlas_3.json": json.dumps(dict(one, n=3, size=2, values=["1", "3" * 5000]))},
+        # elapsed_ms past the largest float, which dividing by 1000.0 cannot convert
+        "hugeelapsed": {"atlas_3.json": json.dumps(dict(three, elapsed_ms=10**400))},
+        # a JSON integer with more digits than json.loads converts by default
+        "longint": {"atlas_3.json": json.dumps(three).replace('"n": 3', '"n": 3' + "0" * 5000)},
     }.items():
         (directory / name).mkdir()
         for file_name, text in files.items():  # latin-1 writes "\xff" as the byte 0xff
@@ -318,6 +326,25 @@ class TestBoundedReads:
         code, out, err = run("alpha", "--m", "3", "--atlas-dir", str(tmp_path))
         assert (code, out) == (2, "")
         assert err == f"error: {tmp_path / 'atlas_3.json'}: larger than {len(text):,} bytes\n"
+
+
+class TestReadErrors:
+    def test_input_errors_name_the_path(self, run, tmp_path):
+        missing = tmp_path / "missing.edgelist"
+        assert run("tau", "--input", str(tmp_path)) == (
+            2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        )
+        assert run("tau", "--input", str(missing)) == (
+            2, "", f"error: [Errno 2] No such file or directory: '{missing}'\n"
+        )
+
+    @pytest.mark.parametrize("argv", ["alpha --m 3", "bounds --max-n 3"])
+    def test_atlas_directory_names_the_path(self, run, tmp_path, argv):
+        # globbed like a file, but a read of its descriptor fails
+        (tmp_path / "atlas_3.json").mkdir()
+        assert run(*argv.split(), "--atlas-dir", str(tmp_path)) == (
+            2, "", f"error: [Errno 21] Is a directory: '{tmp_path / 'atlas_3.json'}'\n"
+        )
 
 
 class TestFifoReads:
