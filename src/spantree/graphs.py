@@ -36,6 +36,7 @@ from __future__ import annotations
 import operator
 import os
 import re
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -198,24 +199,23 @@ def _cactus(rings: Sequence[int], n: int) -> Graph:
     are sorted, and distinct since each ring has x >= 3 vertices.
     """
     spokes: list[int] = []  # the far ends of the spokes
-    lows: list[int] = []  # the rungs by their lower ends
-    highs: list[int] = []  # and by their upper ends
+    lows: list[range] = []  # the rungs of each run by their lower ends
     start = 1
     for x in rings:
         if x < 3:
             raise ValueError(f"cycle length must be >= 3, got {x}")
         end = start + x - 2
         spokes += (start, end)
-        lows += range(start, end)
-        highs += range(start + 1, end + 1)
+        lows.append(range(start, end))
         start = end + 1
     if start < n:
         spokes.append(start)
-        lows += range(start, n - 1)
-        highs += range(start + 1, n)
-    e = len(spokes) + len(lows)
-    # both endpoint columns as the halves of one block
-    uv = np.fromiter([0] * len(spokes) + lows + spokes + highs, np.int64, 2 * e)
+        lows.append(range(start, n - 1))
+    e = len(spokes) + sum(map(len, lows))
+    highs = chain.from_iterable(range(r.start + 1, r.stop + 1) for r in lows)
+    # both endpoint columns as the halves of one block, read from the ranges
+    ends = chain(repeat(0, len(spokes)), chain.from_iterable(lows), spokes, highs)
+    uv = np.fromiter(ends, np.int64, 2 * e)
     m = np.empty(e, dtype=np.int64)
     m.fill(1)  # np.ones takes longer on the short columns of a witness
     return _graph(n, uv[:e], uv[e:], m)

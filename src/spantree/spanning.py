@@ -18,7 +18,7 @@ minor of the integer matrix.  Once the next pivot row is dense, `_finish`
 takes the active block as a numpy array: below _MODULAR_ROWS rows to
 `_bareiss`, a list-of-lists Bareiss loop, from there on to `_det_mod`:
 left-looking block LDL^T elimination of its residues modulo a batch of
-primes, two columns at a time.  Neither swaps rows.  A graph dense from
+primes, two rows at a time.  Neither swaps rows.  A graph dense from
 the start skips the sparse stage: its struck Laplacian is built as one
 array straight from the graph's edge columns.
 
@@ -34,18 +34,18 @@ residues for primes whose product exceeds the bound fix τ by the Chinese
 remainder theorem.
 
 Without row swaps a pivot block can be singular modulo p.  `_det_mod`
-pivots on the 2 x 2 blocks of columns c, c+1 for even c, and on the last
-column alone when k is odd; a 1 x 1 pivot there that vanishes makes det(B)
-≡ 0.  The determinant d of the block at c is M_(c+2) / M_c modulo p, where
-M_j is the leading principal minor of B of order j.  Suppose d ≡ 0.  If
-the block's two columns of the trailing Schur complement (rows c..k-1)
-are dependent modulo p, that complement is singular modulo p, so det(B) ≡
-0; they are tested by the 2 x 2 minors of every row with one nonzero row.
-Otherwise the prime is unlucky and skipped.  It divides M_(c+2), which is
-nonzero: were it 0, the rational Schur complement would be positive
-semidefinite with a singular 2 x 2 principal block, so it would send some
-(x0, x1) ≠ 0, extended by zeros, to zero.  Its two columns would then be
-dependent, and so would their residues, since their denominators are
+pivots on the 2 x 2 blocks of rows c, c+1 for even c, and on the last row
+alone when k is odd; a 1 x 1 pivot there that vanishes makes det(B) ≡ 0.
+The determinant d of the block at c is M_(c+2) / M_c modulo p, where M_j
+is the leading principal minor of B of order j.  Suppose d ≡ 0.  If the
+block's two rows of the trailing Schur complement (columns c..k-1) are
+dependent modulo p, that complement is singular modulo p, so det(B) ≡ 0;
+they are tested by the 2 x 2 minors of every column with one nonzero
+column.  Otherwise the prime is unlucky and skipped.  It divides M_(c+2),
+which is nonzero: were it 0, the rational Schur complement would be
+positive semidefinite with a singular 2 x 2 principal block, so it would
+send some (x0, x1) ≠ 0, extended by zeros, to zero.  Its two rows would
+then be dependent, and so would their residues, since their denominators are
 products of earlier pivots, units modulo p.  So only the finitely many
 prime factors of B's nonzero leading minors of even order are skipped, and
 further primes fix τ; if the primes below 2^26 run out first, `_bareiss`
@@ -57,14 +57,13 @@ below 2^62 // n, the sparse stage a largest diagonal entry below 2^62,
 which bounds every entry of its positive semidefinite block.  Such a block
 is eliminated from its raw entries; any other block holds Python ints and
 is first reduced modulo each prime, so its entries start in [0, p) with
-p < 2^26.  The update of a pair's two columns
-subtracts sums of at most _REDUCE_EVERY = 2^10 products of two residues,
-each below 2^52, so each sum is below 2^62, and reduces the result before
-the next such sum.  Both columns are reduced with their first update (the
-first pair, which has none, alone), the raw upper entry of the pivot
-block, the twin of the lower one, with them.  The pivot block's
-determinant and the dependence test's minors are differences of two
-products of residues, in (-2^52, 2^52); each entry of the block's inverse
+p < 2^26.  The update of a pair's two rows subtracts sums of at most
+_REDUCE_EVERY = 2^10 products of two residues, each below 2^52, so each
+sum is below 2^62, and reduces the result before the next such sum.  Both
+rows are reduced with their first update (the first pair, which has none,
+alone).  The pivot block's determinant and the dependence test's minors
+are differences of two products of residues, in (-2^52, 2^52); each entry
+of the block's inverse
 is a product of two residues, reduced; each scaled multiplier is a sum of
 two such products, below 2^53, reduced; every stored entry is a residue.
 So every product is one of residues.  A raw entry less one sum lies in
@@ -111,7 +110,7 @@ _PRIME_WINDOW = 1 << 14
 # 218 (295) / 141 (181) / 145 (200) ms, K_300 703 (960) / 597 (931) /
 # 675 (936) ms; peak RSS 37 / 40 / 57 MB
 _CHUNK_ENTRIES = 1 << 18
-# products summed between reductions of a pair's columns; below 2^11 each
+# products summed between reductions of a pair's rows; below 2^11 each
 # sum stays inside int64 (see the module docstring)
 _REDUCE_EVERY = 1 << 10
 
@@ -168,7 +167,7 @@ def _finish(mat: np.ndarray, prev: int) -> int:
     Larger ones go to `_det_mod`, in chunks of at most _CHUNK_ENTRIES int64
     entries, modulo primes that do not divide ``prev``.  An int64 block is
     copied into each chunk as it is, and `_det_mod` reduces each pair of
-    columns on first touch; an object block is reduced modulo every prime of
+    rows on first touch; an object block is reduced modulo every prime of
     the chunk first.  Each chunk takes only as many primes as the Hadamard
     bound on τ still needs; a prime `_det_mod` finds unlucky (one dividing a
     nonzero leading minor of even order) is dropped and the next chunk draws
@@ -210,54 +209,55 @@ def _finish(mat: np.ndarray, prev: int) -> int:
 def _det_mod(a: np.ndarray, primes: list[int]) -> list[int | None]:
     """Determinant of ``a[i]`` modulo ``primes[i]``, eliminating ``a`` in place.
 
-    ``a`` holds symmetric int64 matrices whose entries lie in (-2^62, 2^62):
-    residues, or the raw entries of one block.  Columns are taken in pairs
-    c, c + 1, the last alone when k is odd.  Rows c.. of a pair are brought
-    up to date by one batched product of the multipliers left of its
-    diagonal with the unscaled earlier columns stored above it, reduced
-    after every _REDUCE_EVERY products (see the module docstring), so the
-    first reduction of a raw entry, the upper entry at (c, c + 1) among
-    them, comes with its pair's first update; the first pair has none and
-    is reduced alone.  The determinant d of the 2 x 2 pivot block D is the
-    step's factor of the residue.  The rows below D are stored unscaled in
-    rows c and c + 1, over raw entries never read, and times D^-1 = adj(D) *
-    d^-1, one modular inverse per prime, in columns c and c + 1.  No rows
-    are swapped: d ≡ 0 over two dependent columns gives residue 0, over
-    independent ones it makes the prime unlucky, with result None.
+    ``a`` holds symmetric int64 matrices with entries in (-2^62, 2^62):
+    residues, or the raw entries of one block; only those on and above the
+    diagonal are read.  Rows are taken in pairs c, c + 1, the last alone
+    when k is odd.  A pair's panel, its two rows from column c on, is
+    brought up to date by one batched product of their multipliers, left of
+    the diagonal, with the unscaled earlier rows above it, reduced after
+    every _REDUCE_EVERY products (see the module docstring), so a raw entry
+    is first reduced with its pair's first update; the first pair has none
+    and is reduced alone.  The determinant d of the 2 x 2 pivot block D is
+    the step's factor of the residue.  The panel right of D stays in place
+    unscaled; times D^-1 = adj(D) * d^-1, one modular inverse per prime, it
+    gives the multipliers of the rows below, written into columns c and
+    c + 1.  No rows are swapped: d ≡ 0 over two dependent rows gives residue
+    0, over independent ones it makes the prime unlucky, with result None.
     """
     n_p, k, _ = a.shape
     mods = np.array(primes, dtype=np.int64)[:, None, None]
     det: list[int | None] = [1] * n_p
     signs = np.array([[1, -1], [-1, 1]])
-    first = a[:, :, :2]
+    first = a[:, :2]
     np.remainder(first, mods, out=first)
     for c in range(0, k, 2):
-        panel = a[:, c:, c : c + 2]
+        panel = a[:, c : c + 2, c:]
         for t in range(0, c, _REDUCE_EVERY):
             e = min(t + _REDUCE_EVERY, c)
-            panel -= np.matmul(a[:, c:, t:e], a[:, t:e, c : c + 2])
+            panel -= np.matmul(a[:, c : c + 2, t:e], a[:, t:e, c:])
             np.remainder(panel, mods, out=panel)
-        if c == k - 1:  # k is odd: the last column is a 1 x 1 pivot
+        if c == k - 1:  # k is odd: the last row is a 1 x 1 pivot
             return [d * x % p if d else d for d, x, p in zip(det, panel[:, 0, 0].tolist(), primes)]
-        alpha, beta, delta = panel[:, 0, 0], panel[:, 1, 0], panel[:, 1, 1]
+        panel[:, 1, 0] = panel[:, 0, 1]  # the input below the diagonal is not read
+        alpha, beta, delta = panel[:, 0, 0], panel[:, 0, 1], panel[:, 1, 1]
         pivots = ((alpha * delta - beta * beta) % mods[:, 0, 0]).tolist()
         if 0 in pivots:
-            # the columns are dependent iff every row's 2 x 2 minor with the
-            # first nonzero row vanishes (all of them, if there is none)
-            lead = panel[np.arange(n_p), panel.any(axis=2).argmax(axis=1)]
-            minors = panel[:, :, 0] * lead[:, 1, None] - panel[:, :, 1] * lead[:, 0, None]
+            # the rows are dependent iff every column's 2 x 2 minor with the
+            # first nonzero column vanishes (all of them, if there is none)
+            lead = panel[np.arange(n_p), :, panel.any(axis=1).argmax(axis=1)]
+            minors = panel[:, 0] * lead[:, 1, None] - panel[:, 1] * lead[:, 0, None]
             free = (minors % mods[:, 0]).any(axis=1).tolist()
             det = [None if d and f and not x else d for d, x, f in zip(det, pivots, free)]
         det = [d * x % p if d else d for d, x, p in zip(det, pivots, primes)]
         if c == k - 2:
             return det
-        below = panel[:, 2:]
-        a[:, c : c + 2, c + 2 :] = below.swapaxes(1, 2)
         inv = np.array([pow(x, -1, p) if x else 0 for x, p in zip(pivots, primes)])
         # D^-1 = adj(D) / det(D): [[delta, -beta], [-beta, alpha]] * inv
         scale = panel[:, 1::-1, 1::-1] * (signs * inv[:, None, None])
         np.remainder(scale, mods, out=scale)
-        np.remainder(np.matmul(below, scale), mods, out=below)
+        mult = np.matmul(scale, panel[:, :, 2:])
+        np.remainder(mult, mods, out=mult)
+        a[:, c + 2 :, c : c + 2] = mult.swapaxes(1, 2)
     return det
 
 

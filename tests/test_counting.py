@@ -531,6 +531,48 @@ class TestModularFinish:
                     zeros += d == 0 and any(m % p == 0 for m in even)
         assert unlucky and zeros and singular
 
+    @staticmethod
+    def gram(rng: random.Random, k: int) -> list[list[int]]:
+        """X^T X for a random X of small entries with 1..k + 1 rows."""
+        x = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rng.randint(1, k + 1))]
+        return [[sum(r[i] * r[j] for r in x) for j in range(k)] for i in range(k)]
+
+    def test_det_mod_reads_upper_triangle(self):
+        """Random values inside ±2^62 below the diagonal leave every residue
+        of a Gram block as it was, zero pivots modulo 7 and 13 among them."""
+        rng = random.Random(67)
+        primes = [next(spanning._primes()), 13, 7]
+        edge = 2**62 - 1
+        results = []
+        for _ in range(300):
+            k = rng.randint(2, 12)
+            a = np.array([self.gram(rng, k)] * len(primes), dtype=np.int64)
+            expected = spanning._det_mod(a.copy(), primes)
+            rows, cols = np.tril_indices(k, -1)
+            a[:, rows, cols] = [[rng.randint(-edge, edge) for _ in rows] for _ in primes]
+            assert spanning._det_mod(a, primes) == expected
+            results += expected
+        assert None in results and 0 in results
+
+    @pytest.mark.parametrize("every", [1, 2, 3, 5])
+    def test_det_mod_chunked_reduction(self, monkeypatch, every):
+        """Rows brought up to date a few products at a time: Gram blocks
+        keep the rules of `test_det_mod_gram_matrices`."""
+        monkeypatch.setattr(spanning, "_REDUCE_EVERY", every)
+        rng = random.Random(71 + every)
+        primes = [2, 3, 5, 7]
+        for _ in range(150):
+            k = rng.randint(1, 12)
+            mat = self.gram(rng, k)
+            a = np.array([mat] * len(primes), dtype=np.int64)
+            det = det_bareiss(mat)
+            even = [det_bareiss([row[:j] for row in mat[:j]]) for j in range(2, k, 2)]
+            for p, d in zip(primes, spanning._det_mod(a, primes)):
+                if d is None:
+                    assert any(m and m % p == 0 for m in even)
+                else:
+                    assert d == det % p
+
     def test_det_mod_small_blocks(self):
         """k = 1 and 3 end on a 1 x 1 pivot, k = 2 and 4 on a 2 x 2 block;
         raw, reduced and singular blocks alike."""
