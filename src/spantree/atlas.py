@@ -332,17 +332,14 @@ def load_atlas(path: str | Path) -> AtlasRecord:
     decimal strings, ``size`` of them, from 1 (a tree) to the count of the
     complete graph (Cayley's n^(n-2)), ``graphs_scanned`` 2^C(n,2) and
     ``elapsed_ms`` from 0 to the largest float.  A file of more than
-    ``_ATLAS_FILE_LIMIT`` bytes is rejected before it is parsed, text that
-    is not UTF-8 or holds a JSON integer past ``int()``'s digit limit is
+    ``_ATLAS_FILE_LIMIT`` bytes or not UTF-8 is rejected before it is
+    parsed, text that holds a JSON integer past ``int()``'s digit limit is
     not JSON, and a value string longer than Cayley's count is rejected
     before any value is converted.  Each check on ``values`` is one pass in
     C over the whole list (a join, ``all``, ``max`` or ``map``), not a
     Python loop over the values.
     """
-    try:
-        text = read_text_bounded(path, _ATLAS_FILE_LIMIT)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not JSON ({exc})") from exc
+    text = read_text_bounded(path, _ATLAS_FILE_LIMIT)
     try:
         payload = json.loads(text)
     # an integer past int()'s digit limit raises a plain ValueError, and deep nesting recurses

@@ -426,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     except _MissingAtlas as exc:
         message, code = str(exc), 3
-    except (EdgeListError, UnicodeDecodeError) as exc:  # only from tau --input
+    except EdgeListError as exc:  # only from tau --input
         message, code = f"{args.input}: {exc}", 2
     except (ValueError, OSError) as exc:
         message, code = str(exc), 2

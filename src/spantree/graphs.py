@@ -245,11 +245,11 @@ def format_edge_list(g: Graph) -> str:
 
 def read_text_bounded(path: str | Path, limit: int) -> str:
     """The UTF-8 text of a file, read only up to one byte past ``limit``: a
-    larger (or endless) file raises ValueError naming the path.  The file
-    is opened without blocking, so a FIFO with no writer reads as empty
-    instead of waiting for one, then read with plain ``os.read`` calls on
-    the descriptor, which cost less than a buffered file object; an
-    OSError names the path, as ``open`` would."""
+    larger (or endless) file, or one that is not UTF-8, raises ValueError
+    naming the path.  The file is opened without blocking, so a FIFO with
+    no writer reads as empty instead of waiting for one, then read with
+    plain ``os.read`` calls on the descriptor, which cost less than a
+    buffered file object; an OSError names the path, as ``open`` would."""
     data = bytearray()
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
@@ -264,7 +264,10 @@ def read_text_bounded(path: str | Path, limit: int) -> str:
         os.close(fd)
     if len(data) > limit:
         raise ValueError(f"{path}: larger than {limit:,} bytes")
-    return data.decode("utf-8")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc})") from None
 
 
 def parse_edge_list(text: str) -> Graph:

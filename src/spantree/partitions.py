@@ -194,8 +194,6 @@ def p_set_size(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n < 3:
-        return 0
     table = count_partitions_up_to(n, PartClass.ODD_PRIME)
     return sum(table[3:])
 

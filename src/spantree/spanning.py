@@ -18,9 +18,9 @@ minor of the integer matrix.  Once the next pivot row is dense, `_finish`
 takes the active block as a numpy array: below _MODULAR_ROWS rows to
 `_bareiss`, a list-of-lists Bareiss loop, from there on to `_det_mod`:
 left-looking block LDL^T elimination of its residues modulo a batch of
-primes, two rows at a time.  Neither swaps rows.  A graph dense from
-the start skips the sparse stage: its struck Laplacian is built as one
-array straight from the graph's edge columns.
+primes, two rows at a time.  Neither swaps rows.  The density test runs on
+row sizes counted from the graph's edge columns; a graph dense from the
+start skips the sparse stage, its struck Laplacian one array built from them.
 
 Why the multimodular finish is exact.  Let B be the k x k active block left
 after pivots p_1..p_t, and prev = p_t (1 when nothing was eliminated).  B /
@@ -315,11 +315,11 @@ def tau(g: Graph) -> int:
     Every row holds at least its diagonal, so the sparse stage always ends
     this way, at the latest with _DENSE_SHARE rows left.
 
-    A graph that passes the test at the start, such as K_n, goes to
-    `_finish` without building dicts: its struck Laplacian is built as one
-    array from the edge columns, and its row sizes are counted there.  Only
-    a graph with enough edges for the test to pass builds that array, so a
-    sparse graph such as a long cycle allocates nothing of size n^2.
+    The row sizes are counted once, from the edge columns, and seed the
+    heap.  A graph that passes the test on them, such as K_n, goes to
+    `_finish` without building dicts: its struck Laplacian is one array
+    built from the columns, and no other graph builds it, so a sparse graph
+    such as a long cycle allocates nothing of size n^2.
     """
     n = g.n_vertices
     if n <= 1:
@@ -327,13 +327,12 @@ def tau(g: Graph) -> int:
     if len(g.u) < n - 1:
         return 0
     active = n - 1
-    # a row of the struck Laplacian has at most 1 + (its vertex's neighbours)
-    # nonzeros, so the rows hold at most n - 1 + 2|E| in all; if the smallest
-    # holds active / _DENSE_SHARE, then active^2 <= _DENSE_SHARE * that sum
-    if active * (active - _DENSE_SHARE) <= 2 * _DENSE_SHARE * len(g.u):
-        block = _struck_laplacian(g)
-        if _DENSE_SHARE * np.count_nonzero(block, axis=1).min() >= active:
-            return _finish(block, 1)
+    # row v holds its diagonal and one entry per pair joining v to a vertex
+    # other than 0; the pairs at vertex 0 lead the sorted columns
+    k = np.searchsorted(g.u, 1)
+    size = 1 + np.bincount(np.concatenate((g.u[k:], g.v[k:])), minlength=n)[1:]
+    if _DENSE_SHARE * size.min() >= active:
+        return _finish(_struck_laplacian(g), 1)
 
     rows: list[dict[int, int] | None] = [None] + [{v: 0} for v in range(1, n)]
     for u, v, m in zip(g.u.tolist(), g.v.tolist(), g.m.tolist()):  # u < v: only u can be 0
@@ -343,7 +342,7 @@ def tau(g: Graph) -> int:
             rows[u][v] = rows[v][u] = -m
     scale = [1] * n  # the pivot at which each row was stored
     prev = 1  # the last pivot
-    heap = [(len(rows[v]), v) for v in range(1, n)]
+    heap = list(zip(size.tolist(), range(1, n)))
     heapq.heapify(heap)
     while True:
         count, v = heapq.heappop(heap)

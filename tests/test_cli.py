@@ -346,6 +346,20 @@ class TestReadErrors:
             2, "", f"error: [Errno 21] Is a directory: '{tmp_path / 'atlas_3.json'}'\n"
         )
 
+    def test_text_not_utf8_says_so(self, run, tmp_path):
+        """Edge lists and atlas files report undecodable bytes in one wording."""
+        edges = tmp_path / "latin1.edgelist"
+        edges.write_bytes(b"# caf\xe9\nn 2\n0 1\n")
+        assert run("tau", "--input", str(edges)) == (2, "", (
+            f"error: {edges}: not UTF-8 ('utf-8' codec can't decode byte 0xe9 in position 5: "
+            "invalid continuation byte)\n"
+        ))
+        (tmp_path / "atlas_1.json").write_bytes(b"\xff")
+        assert run("alpha", "--m", "2", "--atlas-dir", str(tmp_path)) == (2, "", (
+            f"error: {tmp_path / 'atlas_1.json'}: not UTF-8 ('utf-8' codec can't decode byte "
+            "0xff in position 0: invalid start byte)\n"
+        ))
+
 
 class TestFifoReads:
     @pytest.mark.parametrize("argv", [

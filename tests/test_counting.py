@@ -5,7 +5,7 @@ from math import comb, isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spantree.spanning as spanning
@@ -677,15 +677,60 @@ class TestModularFinish:
             k = g.n_vertices - 1
             assert finishes == [((k, k), np.int64, 1)]
 
+    @staticmethod
+    def no_array(g):
+        raise AssertionError("array built")
+
     def test_sparse_graphs_build_no_array(self, monkeypatch):
-        """A cycle or a path has too few edges for the dense test, so no
-        n x n array is built for it."""
-
-        def no_array(g):
-            raise AssertionError("array built")
-
-        monkeypatch.setattr(spanning, "_struck_laplacian", no_array)
+        """The rows of a cycle or a path are too small for the dense test,
+        so no n x n array is built for it."""
+        monkeypatch.setattr(spanning, "_struck_laplacian", self.no_array)
         assert tau(cycle(2000)) == 2000 and tau(path(2000)) == 1
+
+    def test_pendant_builds_no_array(self, monkeypatch):
+        """K_50 has edges enough for a dense start, but a pendant vertex's
+        row of two entries fails the test, so no 50 x 50 array is built:
+        one sparse step leaves a 49-row block of K_50 for the modular
+        finish."""
+        monkeypatch.setattr(spanning, "_struck_laplacian", self.no_array)
+        assert tau(Graph(51, complete(50).edges + ((49, 50),))) == 50**48
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        core=st.integers(2, 24),
+        density=st.floats(0.5, 1.0),
+        pendants=st.integers(0, 3),
+        isolated=st.integers(0, 2),
+        hub=st.integers(0, 6),
+        seed=st.integers(0, 2**32),
+    )
+    def test_array_built_iff_rows_pass(self, core, density, pendants, isolated, hub, seed):
+        """`tau` builds the struck Laplacian exactly when its smallest dict
+        row, counted here from the edges, passes the dense test, on dense
+        cores with pendant and isolated vertices and extra neighbours of
+        vertex 0, under shuffled labels."""
+        rng = random.Random(seed)
+        n = core + pendants + isolated
+        edges = [(u, v) for u, v in combinations(range(core), 2) if rng.random() < density]
+        edges += [(rng.randrange(core), w) for w in range(core, core + pendants)]
+        label = list(range(n))
+        rng.shuffle(label)
+        edges += [(label.index(0), w) for w in rng.sample(range(n), min(hub, n))]
+        g = Graph(n, tuple((label[u], label[v]) for u, v in edges if label[u] != label[v]))
+        assume(len(g.u) >= n - 1)
+        neighbours = [{w for u, v, _ in g.edges for w in (u, v) if x in (u, v)} for x in range(n)]
+        smallest = min(1 + len(neighbours[x] - {x, 0}) for x in range(1, n))
+        built = []
+
+        def spy(graph):
+            built.append(graph)
+            return struck(graph)
+
+        struck = spanning._struck_laplacian
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spanning, "_struck_laplacian", spy)
+            assert tau(g) == dense_tau(g)
+        assert bool(built) == (spanning._DENSE_SHARE * smallest >= n - 1)
 
     def test_int64_bound(self):
         """A residue, or a raw entry inside ±2^62, less a sum of

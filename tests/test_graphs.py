@@ -111,6 +111,10 @@ class TestConstruction:
     def test_equality_is_structural(self):
         assert Graph(3, ((2, 1), (0, 1))) == Graph(3, ((0, 1), (1, 2)))
 
+    def test_repr_shows_the_columns(self):
+        assert repr(Graph(3, ((2, 1), (0, 1, 2)))) == "Graph(n_vertices=3, u=[0, 1], v=[1, 2], m=[2, 1])"
+        assert repr(Graph(2, ((0, 1, 2**70),))) == f"Graph(n_vertices=2, u=[0], v=[1], m=[{2**70}])"
+
 
 class TestConstructors:
     def test_cycle_shape(self):
