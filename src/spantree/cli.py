@@ -158,6 +158,20 @@ def _int_list(option: str, text: str) -> list[int]:
         raise ValueError(f"{option} must be comma-separated integers") from None
 
 
+def _decimal(x: int) -> str:
+    """``str(x)`` for an int x >= 0 of any length.
+
+    CPython's ``str`` refuses an int of more than 4,300 digits, so a longer
+    one is split by ``divmod`` at a power of ten near the middle of its
+    digits, and each half converted the same way.
+    """
+    if x.bit_length() <= 14_000:  # at most 4,215 digits
+        return str(x)
+    k = x.bit_length() * 3 // 20  # about half its digits, log10(2) being 0.301
+    high, low = divmod(x, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
 def _cmd_tau(args: argparse.Namespace) -> _Output:
     if args.input is not None:
         g = parse_edge_list(read_text_bounded(args.input, _INPUT_LIMIT))
@@ -172,7 +186,7 @@ def _cmd_tau(args: argparse.Namespace) -> _Output:
         lengths = tuple(sorted(_int_list("--flower", args.flower)))
         _check_edge_count("--flower", sum(lengths))
         g = flower(lengths)
-    value = str(tau(g))
+    value = _decimal(tau(g))
     return _Output({"tau": value}, ["tau"], [[value]])
 
 

@@ -9,18 +9,20 @@ sieved prime windows, filled on first use (not at import) with values that
 depend on nothing else, so the functions are safe to call from concurrent
 workers.
 
-`tau` eliminates the struck Laplacian fraction-free (Bareiss) with pivots
-taken in greedy minimum-degree order.  While the active rows are sparse they
-are dicts, and a step rewrites only the pivot's neighbour rows.  Every other
-row keeps the step of its last update and is rescaled when next touched;
-the rescale divides exactly because every entry of the active block is a
-minor of the integer matrix.  Once the next pivot row is dense, `_finish`
-takes the active block as a numpy array: below _MODULAR_ROWS rows to
-`_bareiss`, a list-of-lists Bareiss loop, from there on to `_det_mod`:
-left-looking block LDL^T elimination of its residues modulo a batch of
-primes, two rows at a time.  Neither swaps rows.  The density test runs on
-row sizes counted from the graph's edge columns; a graph dense from the
-start skips the sparse stage, its struck Laplacian one array built from them.
+`tau` eliminates the Laplacian, struck at a vertex with the most pairs,
+fraction-free (Bareiss) with pivots taken in greedy minimum-degree order.
+While the active rows are sparse they are dicts, and a step rewrites only
+the entries (i, j) with i and j both in the pivot's row, at a cost of that
+row's size squared.  Every other entry keeps the pivot at which it was
+written and is rescaled when next read; the rescale divides exactly because
+every entry of the active block is a minor of the integer matrix.  Once the
+next pivot row is dense, `_finish` takes the active block as a numpy array:
+below _MODULAR_ROWS rows to `_bareiss`, a list-of-lists Bareiss loop, from
+there on to `_det_mod`: left-looking block LDL^T elimination of its
+residues modulo a batch of primes, two rows at a time.  Neither swaps rows.
+The density test runs on row sizes counted from the graph's edge columns; a
+graph dense from the start skips the sparse stage, its struck Laplacian one
+array built from them.
 
 Why the multimodular finish is exact.  Let B be the k x k active block left
 after pivots p_1..p_t, and prev = p_t (1 when nothing was eliminated).  B /
@@ -115,10 +117,11 @@ _CHUNK_ENTRIES = 1 << 18
 _REDUCE_EVERY = 1 << 10
 
 
-def _struck_laplacian(g: Graph) -> np.ndarray:
-    """The Laplacian of ``g`` with vertex 0's row and column struck.
+def _struck_laplacian(g: Graph, h: int) -> np.ndarray:
+    """The Laplacian of ``g`` with vertex ``h``'s row and column struck.
 
-    Assigned straight from the graph's columns: an int64 array when every
+    Assigned straight from the graph's columns, relabelled so that ``h``
+    comes first and the others keep their order: an int64 array when every
     multiplicity is below 2^62 // n, so each diagonal entry, a sum of at
     most n - 1 of them, stays below 2^62; otherwise an object array of
     Python ints, built by the same code.  ``g`` has at least one edge.
@@ -127,8 +130,12 @@ def _struck_laplacian(g: Graph) -> np.ndarray:
     m = g.m
     if m.max() >= (1 << 62) // n:
         m = m.astype(object)
+    label = np.arange(n)
+    label[:h] += 1
+    label[h] = 0
+    u, v = label[g.u], label[g.v]
     lap = np.zeros((n, n), dtype=m.dtype)
-    lap[g.u, g.v] = lap[g.v, g.u] = -m
+    lap[u, v] = lap[v, u] = -m
     np.fill_diagonal(lap, -lap.sum(axis=1))
     return lap[1:, 1:]
 
@@ -281,26 +288,32 @@ def _prime_window(i: int) -> tuple[int, ...]:
 def tau(g: Graph) -> int:
     """Number of spanning trees of ``g``, exactly.
 
-    The determinant of the Laplacian with vertex 0's row and column struck;
-    by the matrix-tree identity every choice of struck index gives the same
-    value.  Conventions: the 0-vertex graph has 0 spanning trees, the
-    1-vertex graph has 1, and any disconnected graph has 0.  A graph with
-    fewer than n - 1 vertex pairs joined cannot be connected, so it returns
-    0 before anything of size n is allocated.
+    The determinant of the Laplacian with the row and column of h struck,
+    h being the vertex with the most vertex pairs (the lowest such label, so
+    K_n strikes 0); by the matrix-tree identity every choice of struck
+    index gives the same value, and striking the hub of a star, wheel,
+    flower or K_(2,n) leaves rows that stay small.  Conventions: the
+    0-vertex graph has 0 spanning trees, the 1-vertex graph has 1, and any
+    disconnected graph has 0.  A graph with fewer than n - 1 vertex pairs
+    joined cannot be connected, so it returns 0 before anything of size n
+    is allocated.
 
     Elimination is fraction-free with symmetric pivoting, the next pivot
     being an active row with the fewest nonzeros (a heap keyed on row size).
     After t steps with pivots p_1..p_t (p_0 = 1) the active entry (i, j) is
     the minor on the pivot rows plus i and the pivot columns plus j, and
     step t + 1 with pivot p on vertex v sets it to
-    ``(p * a_ij - a_iv * a_vj) // p_t``.  Where a_iv = 0 that is
-    ``a_ij * p // p_t``, so each row is stored with its scale, the pivot
-    p_s of the last step that rewrote it (1 before any), and its entries
-    are ``stored * p_t // p_s``: exact, since the result is a minor and so
-    an integer.  Only the pivot's neighbours are rewritten.  Minimum-degree
-    order eliminates a pendant tree with no fill and each vertex of a cycle
-    with at most one fill entry, so the blocks of the graph are used without
-    decomposing it into them.
+    ``(p * a_ij - a_iv * a_vj) // p_t``.  Where a_iv or a_vj is 0 that is
+    ``a_ij * p // p_t``, so an entry need not be touched until a step
+    reads or rewrites it: each entry carries its own scale.  An int x is
+    the graph's own entry, with value ``x * p_t``; a pair (x, s) was
+    written by the step with pivot s, with value ``x * p_t // s``.  Both
+    are exact, since the value is a minor and so an integer.  A step on v
+    rewrites only the entries (i, j) with i and j both in v's row, so it
+    costs the square of that row's size, whatever the size of the rows it
+    touches.  Minimum-degree order eliminates a pendant tree with no fill
+    and each vertex of a cycle with at most one fill entry, so the blocks of
+    the graph are used without decomposing it into them.
 
     A zero pivot returns 0.  The struck Laplacian is positive semidefinite
     and the pivots before it are positive, so the block left after them (the
@@ -315,11 +328,12 @@ def tau(g: Graph) -> int:
     Every row holds at least its diagonal, so the sparse stage always ends
     this way, at the latest with _DENSE_SHARE rows left.
 
-    The row sizes are counted once, from the edge columns, and seed the
-    heap.  A graph that passes the test on them, such as K_n, goes to
-    `_finish` without building dicts: its struck Laplacian is one array
-    built from the columns, and no other graph builds it, so a sparse graph
-    such as a long cycle allocates nothing of size n^2.
+    The row sizes, 1 plus the pairs at the vertex, less one next to h, are
+    counted once, from the edge columns, and seed the heap.  A graph that
+    passes the test on them, such as K_n, goes to `_finish` without
+    building dicts: its struck Laplacian is one array built from the
+    columns, and no other graph builds it, so a sparse graph such as a long
+    cycle allocates nothing of size n^2.
     """
     n = g.n_vertices
     if n <= 1:
@@ -328,21 +342,29 @@ def tau(g: Graph) -> int:
         return 0
     active = n - 1
     # row v holds its diagonal and one entry per pair joining v to a vertex
-    # other than 0; the pairs at vertex 0 lead the sorted columns
-    k = np.searchsorted(g.u, 1)
-    size = 1 + np.bincount(np.concatenate((g.u[k:], g.v[k:])), minlength=n)[1:]
+    # other than h, the vertex with the most pairs (the lowest such label)
+    pairs = np.bincount(g.u, minlength=n) + np.bincount(g.v, minlength=n)
+    h = int(pairs.argmax())
+    size = 1 + pairs
+    size[g.u[g.v == h]] -= 1
+    size[g.v[g.u == h]] -= 1
+    # size[h], 1 plus the most pairs, is at least every other size, so the
+    # minimum is that of a row the struck Laplacian keeps
     if _DENSE_SHARE * size.min() >= active:
-        return _finish(_struck_laplacian(g), 1)
+        return _finish(_struck_laplacian(g, h), 1)
 
-    rows: list[dict[int, int] | None] = [None] + [{v: 0} for v in range(1, n)]
-    for u, v, m in zip(g.u.tolist(), g.v.tolist(), g.m.tolist()):  # u < v: only u can be 0
+    rows: list[dict[int, int | tuple[int, int]] | None] = [{v: 0} for v in range(n)]
+    for u, v, m in zip(g.u.tolist(), g.v.tolist(), g.m.tolist()):
+        rows[u][u] += m
         rows[v][v] += m
-        if u:
-            rows[u][u] += m
-            rows[u][v] = rows[v][u] = -m
-    scale = [1] * n  # the pivot at which each row was stored
+        rows[u][v] = rows[v][u] = -m
+    struck = rows[h]
+    rows[h] = None
+    del struck[h]
+    for j in struck:
+        del rows[j][h]
     prev = 1  # the last pivot
-    heap = list(zip(size.tolist(), range(1, n)))
+    heap = [(count, v) for v, count in enumerate(size.tolist()) if v != h]
     heapq.heapify(heap)
     while True:
         count, v = heapq.heappop(heap)
@@ -350,32 +372,32 @@ def tau(g: Graph) -> int:
         if row is None or len(row) != count:
             continue  # eliminated, or its size changed since this push
         if _DENSE_SHARE * count >= active:
-            order = [i for i in range(1, n) if rows[i] is not None]
+            order = [i for i in range(n) if rows[i] is not None]
             col = {j: c for c, j in enumerate(order)}
             block = []
             for i in order:
                 line = [0] * active
-                base = scale[i]
                 for j, x in rows[i].items():
-                    line[col[j]] = x * prev // base
+                    line[col[j]] = x * prev if type(x) is int else x[0] * prev // x[1]
                 block.append(line)
             wide = max(line[c] for c, line in enumerate(block)) >= 1 << 62
             return _finish(np.array(block, dtype=object if wide else np.int64), prev)
         rows[v] = None
         active -= 1
-        base = scale[v]
-        row = {j: x * prev // base for j, x in row.items()}
-        pivot = row.pop(v)
+        x = row.pop(v)
+        pivot = x * prev if type(x) is int else x[0] * prev // x[1]
         if pivot == 0:
             return 0
-        for i, a_iv in row.items():  # a_iv = a_vi: the active block is symmetric
+        line = [(j, x * prev if type(x) is int else x[0] * prev // x[1]) for j, x in row.items()]
+        for k, (i, a_iv) in enumerate(line):  # a_iv = a_vi: the active block is symmetric
             old = rows[i]
             del old[v]
-            base = scale[i]
-            new = {j: x * pivot // base for j, x in old.items() if j not in row}
-            for j, a_vj in row.items():
-                new[j] = (pivot * (old.get(j, 0) * prev // base) - a_iv * a_vj) // prev
-            rows[i] = new
-            scale[i] = pivot
-            heapq.heappush(heap, (len(new), i))
+            for j, a_vj in line[k:]:  # (i, j) and (j, i) are written at once
+                x = old.get(j, 0)
+                if type(x) is int:  # the graph's own entry, or none: value x * prev
+                    x = (pivot * x - a_iv * a_vj // prev, pivot)
+                else:
+                    x = ((pivot * (x[0] * prev // x[1]) - a_iv * a_vj) // prev, pivot)
+                old[j] = rows[j][i] = x
+            heapq.heappush(heap, (len(old), i))
         prev = pivot

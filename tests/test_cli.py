@@ -220,6 +220,29 @@ class TestTau:
             assert (proc.returncode, proc.stdout) == (2, "")
             assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
+    def test_count_past_str_digit_limit(self, run, tmp_path):
+        """τ = 10^7998, past the 4,300 digits CPython's ``str`` of an int
+        allows, is printed in full."""
+        target = tmp_path / "g.edgelist"
+        big = 10**3999
+        target.write_text(f"n 3\n0 1 {big}\n1 2 {big}\n")
+        count = "1" + "0" * 7998
+        assert run("tau", "--input", str(target)) == (0, count + "\n", "")
+        code, out, err = run("tau", "--input", str(target), "--format", "json")
+        assert (code, json.loads(out), err) == (0, {"tau": count}, "")
+
+    def test_decimal_of_any_length(self):
+        """`_decimal` agrees with ``str`` below the limit and, past it, with
+        the value rebuilt from its last 4,000 digits and the rest."""
+        for x in (0, 7, 10**4214, 2**14_000 - 1, 2**14_000, 10**4300, 10**8000 - 1,
+                  3**15_000, 1500 * 2**14_999):
+            text = cli._decimal(x)
+            assert text == text.lstrip("0") or text == "0"
+            if len(text) <= 4000:
+                assert text == str(x)
+            else:
+                assert int(text[:-4000]) * 10**4000 + int(text[-4000:]) == x
+
     def test_json_and_csv(self, run):
         code, out, _ = run("tau", "--flower", "3,3", "--format", "json")
         assert code == 0 and json.loads(out) == {"tau": "9"}

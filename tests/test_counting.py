@@ -34,6 +34,15 @@ from oracles import (
 )
 
 
+def busiest(g: Graph) -> int:
+    """The vertex `tau` strikes: the most vertex pairs, the lowest such label."""
+    pairs = [0] * g.n_vertices
+    for u, v, _ in g.edges:
+        pairs[u] += 1
+        pairs[v] += 1
+    return pairs.index(max(pairs))
+
+
 class TestLaplacian:
     def test_rows_sum_to_zero(self):
         rng = random.Random(3)
@@ -47,8 +56,9 @@ class TestLaplacian:
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_array_builder_matches(self, wide):
-        """`_struck_laplacian` is the struck `laplacian`, int64 while every
-        multiplicity is below 2^62 // n and an object array from there on."""
+        """`_struck_laplacian` is `laplacian` struck at the busiest vertex,
+        the others kept in order, int64 while every multiplicity is below
+        2^62 // n and an object array from there on."""
         rng = random.Random(47)
         for _ in range(60):
             n = rng.randint(2, 40)
@@ -58,20 +68,39 @@ class TestLaplacian:
             if wide:
                 edges += ((*pairs[0], rng.choice(top)),)  # one multiplicity >= 2^62 // n
             g = Graph(n, edges)
-            block = spanning._struck_laplacian(g)
+            h = busiest(g)
+            block = spanning._struck_laplacian(g, h)
             assert block.dtype == (object if wide else np.int64)
-            assert block.tolist() == principal_minor(laplacian(g), 0)
+            assert block.tolist() == principal_minor(laplacian(g), h)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 40])
     def test_array_builder_bound_in_int64_column(self, n):
         """A multiplicity of 2^62 // n or more takes the object Laplacian
-        while its column is still int64; one less stays int64."""
+        while its column is still int64; one less stays int64.  The path
+        is struck at its busiest vertex, 1 from n = 3 on."""
         for top, dtype in ((2**62 // n - 1, np.int64), (2**62 // n, object), (2**62 - 1, object)):
             g = Graph(n, ((0, 1, top),) + tuple((v, v + 1) for v in range(1, n - 1)))
             assert g.m.dtype == np.int64
-            block = spanning._struck_laplacian(g)
+            h = busiest(g)
+            block = spanning._struck_laplacian(g, h)
             assert block.dtype == dtype
-            assert block.tolist() == principal_minor(laplacian(g), 0)
+            assert block.tolist() == principal_minor(laplacian(g), h)
+
+    def test_complete_struck_at_zero(self, monkeypatch):
+        """Every vertex of K_n has n - 1 pairs, so `tau` strikes the lowest
+        label, 0, and builds the trailing (n - 1) x (n - 1) block."""
+        blocks = []
+
+        def spy(g, h):
+            blocks.append((h, struck(g, h).tolist()))
+            return struck(g, h)
+
+        struck = spanning._struck_laplacian
+        monkeypatch.setattr(spanning, "_struck_laplacian", spy)
+        for n in (5, 30):
+            blocks.clear()
+            assert tau(complete(n)) == n ** (n - 2)
+            assert blocks == [(0, principal_minor(laplacian(complete(n)), 0))]
 
 
 class TestDeterminant:
@@ -284,6 +313,25 @@ class TestTauProperties:
         label = data.draw(st.permutations(range(g.n_vertices)))
         assert tau(relabel(g, label)) == tau(g)
 
+    @settings(max_examples=150, deadline=None)
+    @given(hubs=st.integers(1, 3), seed=st.integers(0, 2**32))
+    def test_hubs_match_dense_oracle(self, hubs, seed):
+        """A sparse random multigraph plus 1-3 hubs, each joined to most
+        earlier vertices, under shuffled labels: one hub is struck, and the
+        other hubs' rows mix the graph's own entries with entries that
+        pivots wrote many steps before they are read."""
+        rng = random.Random(seed)
+        g = random_multigraph(rng, max_vertices=40, max_edges=50)
+        n = g.n_vertices + hubs
+        edges = g.edges + tuple(
+            (w, h, rng.randint(1, 3)) for h in range(g.n_vertices, n) for w in range(h)
+            if rng.random() < 0.8
+        )
+        label = list(range(n))
+        rng.shuffle(label)
+        g = relabel(Graph(n, edges), label)
+        assert tau(g) == dense_tau(g)
+
     def test_parallel_bridges(self):
         # two triangles joined by a 4-fold bridge, then a 2-fold pendant edge
         g = Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3, 4), (5, 6, 2)))
@@ -347,6 +395,32 @@ class TestTauFamilies:
             start = time.perf_counter()
             assert tau(g) == expected
             assert time.perf_counter() - start < 2.0
+
+    def test_hubs_labelled_last(self, capped_python):
+        """Stars, wheels and complete bipartite graphs with their hubs
+        labelled last, against closed forms: a star has 1 spanning tree, a
+        wheel on k rim vertices L_2k - 2 (the Lucas numbers) and K_(m,n)
+        m^(n-1) * n^(m-1).  One hub is struck, and every pivot row left
+        holds at most three entries, so a step writes at most nine however
+        long another hub's row is.  A sparse stage that rebuilt each
+        neighbour's whole row took more than 60 s on every one of these
+        sizes, so they run in a child process under its 60 s timeout."""
+        star, rim, pair, triple = 50_000, 4000, 6000, 2500
+        proc = capped_python("-c", (
+            "from spantree import Graph, tau\n"
+            f"print(hex(tau(Graph({star + 1}, tuple((v, {star}) for v in range({star}))))))\n"
+            f"k = {rim}\n"
+            "ring = tuple((v, (v + 1) % k) for v in range(k))\n"
+            "print(hex(tau(Graph(k + 1, ring + tuple((v, k) for v in range(k))))))\n"
+            f"for m, n in ((2, {pair}), (3, {triple})):\n"
+            "    print(hex(tau(Graph(n + m, tuple((v, h) for v in range(n) for h in range(n, n + m))))))\n"
+        ))
+        lucas = [2, 1]
+        while len(lucas) <= 2 * rim:
+            lucas.append(lucas[-1] + lucas[-2])
+        counts = [1, lucas[2 * rim] - 2, 2 ** (pair - 1) * pair, 3 ** (triple - 1) * triple**2]
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == [hex(c) for c in counts]
 
     def test_cactus_chains(self):
         rng = random.Random(17)
@@ -678,7 +752,7 @@ class TestModularFinish:
             assert finishes == [((k, k), np.int64, 1)]
 
     @staticmethod
-    def no_array(g):
+    def no_array(g, h):
         raise AssertionError("array built")
 
     def test_sparse_graphs_build_no_array(self, monkeypatch):
@@ -706,9 +780,9 @@ class TestModularFinish:
     )
     def test_array_built_iff_rows_pass(self, core, density, pendants, isolated, hub, seed):
         """`tau` builds the struck Laplacian exactly when its smallest dict
-        row, counted here from the edges, passes the dense test, on dense
-        cores with pendant and isolated vertices and extra neighbours of
-        vertex 0, under shuffled labels."""
+        row, counted here from the edges with the busiest vertex struck,
+        passes the dense test, on dense cores with pendant and isolated
+        vertices and extra neighbours of vertex 0, under shuffled labels."""
         rng = random.Random(seed)
         n = core + pendants + isolated
         edges = [(u, v) for u, v in combinations(range(core), 2) if rng.random() < density]
@@ -719,18 +793,19 @@ class TestModularFinish:
         g = Graph(n, tuple((label[u], label[v]) for u, v in edges if label[u] != label[v]))
         assume(len(g.u) >= n - 1)
         neighbours = [{w for u, v, _ in g.edges for w in (u, v) if x in (u, v)} for x in range(n)]
-        smallest = min(1 + len(neighbours[x] - {x, 0}) for x in range(1, n))
+        h = busiest(g)
+        smallest = min(1 + len(neighbours[x] - {x, h}) for x in range(n) if x != h)
         built = []
 
-        def spy(graph):
-            built.append(graph)
-            return struck(graph)
+        def spy(graph, struck_at):
+            built.append(struck_at)
+            return struck(graph, struck_at)
 
         struck = spanning._struck_laplacian
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spanning, "_struck_laplacian", spy)
             assert tau(g) == dense_tau(g)
-        assert bool(built) == (spanning._DENSE_SHARE * smallest >= n - 1)
+        assert built == ([h] if spanning._DENSE_SHARE * smallest >= n - 1 else [])
 
     def test_int64_bound(self):
         """A residue, or a raw entry inside ±2^62, less a sum of
