@@ -5,10 +5,11 @@ since they outgrow 64-bit integers.  Identical invocations produce
 byte-identical output; the only varying fields (elapsed times) live in
 atlas files, not on stdout.  Exit codes: 0 success, 2 usage or input
 error (bad arguments, malformed edge lists or atlas files, unreadable or
-unwritable paths), 3 required atlas data missing.  Commands only compute;
-``main`` alone renders their output and turns their errors, the parser's
-usage errors and a failed write of the output among them, into one
-``error: ...`` line of at most _ERROR_LIMIT characters and an exit code.
+unwritable paths), 3 required atlas data missing, 130 interrupted
+(Ctrl-C).  Commands only compute; ``main`` alone renders their output and
+turns their errors, the parser's usage errors, a failed write of the
+output and an interrupt among them, into one ``error: ...`` line of at
+most _ERROR_LIMIT characters and an exit code.
 
 ``main`` builds its parser once per process, on its first call, and reuses
 it; nothing is built at import.  So that a reused parser carries nothing
@@ -448,6 +449,8 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except MemoryError:  # a size the limits allow that this process cannot hold
         message, code = "out of memory", 2
+    except KeyboardInterrupt:  # Ctrl-C: the shell's code for SIGINT, 128 + 2
+        message, code = "interrupted", 130
     line = f"error: {message}"
     if len(line) > _ERROR_LIMIT:
         line = line[: _ERROR_LIMIT - 3] + "..."

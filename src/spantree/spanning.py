@@ -9,30 +9,50 @@ sieved prime windows, filled on first use (not at import) with values that
 depend on nothing else, so the functions are safe to call from concurrent
 workers.
 
-`tau` eliminates the Laplacian, struck at a vertex with the most pairs,
-fraction-free (Bareiss) with pivots taken in greedy minimum-degree order.
-While the active rows are sparse they are dicts, and a step rewrites only
-the entries (i, j) with i and j both in the pivot's row, at a cost of that
-row's size squared.  Every other entry keeps the pivot at which it was
-written and is rescaled when next read; the rescale divides exactly because
-every entry of the active block is a minor of the integer matrix.  Once the
-next pivot row is dense, `_finish` takes the active block as a numpy array:
-below _MODULAR_ROWS rows to `_bareiss`, a list-of-lists Bareiss loop, from
-there on to `_det_mod`: left-looking block LDL^T elimination of its
-residues modulo a batch of primes, two rows at a time.  Neither swaps rows.
-The density test runs on row sizes counted from the graph's edge columns; a
-graph dense from the start skips the sparse stage, its struck Laplacian one
-array built from them.
+`tau` eliminates a positive semidefinite integer matrix fraction-free
+(Bareiss) with pivots taken in greedy minimum-degree order: the Laplacian
+struck at a vertex with the most pairs, or for a near-complete graph the
+whole matrix of Temperley's identity below.  While the active rows are
+sparse they are dicts, and a step rewrites only the entries (i, j) with i
+and j both in the pivot's row, at a cost of that row's size squared.  Every
+other entry keeps the pivot at which it was written and is rescaled when
+next read; the rescale divides exactly because every entry of the active
+block is a minor of the integer matrix.  Once the next pivot row is dense,
+`_finish` takes the active block as a numpy array: below _MODULAR_ROWS rows
+to `_bareiss`, a list-of-lists Bareiss loop, from there on to `_det_mod`:
+left-looking block LDL^T elimination of its residues modulo a batch of
+primes, two rows at a time.  Neither swaps rows.  The density test runs on
+row sizes counted from the graph's edge columns; a graph dense from the
+start skips the sparse stage, its struck Laplacian one array built from
+them.
+
+Near-complete graphs.  Let t be the largest multiplicity of G, and H its
+deficit: the pairs below t, each valued t - m, and the absent pairs, each
+valued t, so that L(G) = t * (n * I - J) - L(H), J the all-ones matrix.
+When every vertex has at least n - 3 of its n - 1 pairs at t, H has at
+most two pairs at any vertex, a disjoint union of paths and cycles.  Then
+A = L(G) + t * J = t * n * I - L(H) has at most three entries in a row, and
+minimum-degree elimination keeps it so: eliminating a vertex of a path or
+cycle joins its two neighbours, so each of the n steps touches at most a
+3 x 3 neighbourhood.  A is L(G) plus t * 1 1^T, so it is positive
+semidefinite, and by the matrix-determinant lemma (Temperley's identity,
+Proc. Phys. Soc. 83, 1964) det A = t * n^2 * τ: the all-ones vector is an
+eigenvector of both terms, with eigenvalue t * n for A, and the other
+eigenvalues are L(G)'s, whose product is n * τ.  Every argument below
+holds for any positive semidefinite integer matrix, so the zero-pivot rule,
+the Bareiss minors, the int64 hand-off and the Hadamard bound carry over to
+A with no vertex struck, and τ = det A // (t * n^2) exactly.
 
 Why the multimodular finish is exact.  Let B be the k x k active block left
 after pivots p_1..p_t, and prev = p_t (1 when nothing was eliminated).  B /
-prev is the Schur complement of the eliminated rows in the struck
-Laplacian, so it is positive semidefinite, and τ = prev * det(B / prev) =
+prev is the Schur complement of the eliminated rows in the matrix
+eliminated, the struck Laplacian or A, so it is positive semidefinite, and
+that matrix's determinant δ (τ, or t * n^2 * τ) is prev * det(B / prev) =
 det(B) / prev^(k-1).  Hadamard's inequality for positive semidefinite
 matrices bounds det(B / prev) by the product of its diagonal, so
-0 <= τ <= ∏ B_ii // prev^(k-1), the floor because τ is an integer.  For a
-prime p that does not divide prev, τ = det(B) * prev^-(k-1) mod p, and the
-residues for primes whose product exceeds the bound fix τ by the Chinese
+0 <= δ <= ∏ B_ii // prev^(k-1), the floor because δ is an integer.  For a
+prime p that does not divide prev, δ = det(B) * prev^-(k-1) mod p, and the
+residues for primes whose product exceeds the bound fix δ by the Chinese
 remainder theorem.
 
 Without row swaps a pivot block can be singular modulo p.  `_det_mod`
@@ -50,7 +70,7 @@ send some (x0, x1) ≠ 0, extended by zeros, to zero.  Its two rows would
 then be dependent, and so would their residues, since their denominators are
 products of earlier pivots, units modulo p.  So only the finitely many
 prime factors of B's nonzero leading minors of even order are skipped, and
-further primes fix τ; if the primes below 2^26 run out first, `_bareiss`
+further primes fix δ; if the primes below 2^26 run out first, `_bareiss`
 finishes the block.  A disconnected graph gives residue 0 for every prime.
 
 Why int64 does not overflow.  `_finish` takes a block as int64 only when
@@ -88,6 +108,9 @@ from .partitions import _primes_in
 
 __all__ = ["tau"]
 
+# the sparse rows of `_eliminate`: row i maps column j to entry (i, j), an
+# int or a pair (x, s), and is None once eliminated or struck
+_Rows = list[dict[int, int | tuple[int, int]] | None]
 # `tau` eliminates dense lists, not dicts, once the next pivot row has a
 # nonzero in at least 1/_DENSE_SHARE of the active columns
 _DENSE_SHARE = 4
@@ -97,7 +120,9 @@ _DENSE_SHARE = 4
 # 10 alternating pairs in two sets, `_bareiss` took 0.76-0.87x the modular
 # time at k = 15, 0.98-1.04x at 16, 0.92-1.06x at 17, 1.21-1.30x at 18
 # (modular faster in 8-10 of 10 pairs for each seed and set), 1.49-1.57x
-# at 20, 1.73-1.84x at 22 and 2.05-2.26x at 24
+# at 20, 1.73-1.84x at 22 and 2.05-2.26x at 24.  K_n is near-complete and
+# reaches neither kernel; K_n with one pair doubled leaves a block of the
+# same shape
 _MODULAR_ROWS = 18
 # the primes lie below 2^_PRIME_BITS, so a product of two residues is < 2^52
 _PRIME_BITS = 26
@@ -110,7 +135,8 @@ _PRIME_WINDOW = 1 << 14
 # 2-vCPU host: K_90 11 (16) / 8 (12.5) / 8 (12) ms, K_150 68 (104) /
 # 48 (70) / 49 (70) ms, a 200-vertex multigraph (p 0.7, multiplicities 1-3)
 # 218 (295) / 141 (181) / 145 (200) ms, K_300 703 (960) / 597 (931) /
-# 675 (936) ms; peak RSS 37 / 40 / 57 MB
+# 675 (936) ms; peak RSS 37 / 40 / 57 MB (K_n's blocks, the shape K_n with
+# one pair doubled still leaves)
 _CHUNK_ENTRIES = 1 << 18
 # products summed between reductions of a pair's rows; below 2^11 each
 # sum stays inside int64 (see the module docstring)
@@ -145,7 +171,7 @@ def _bareiss(m: list[list[int]], prev: int) -> int:
 
     ``prev`` divides the first step: the last pivot taken before ``m`` was
     left as the active block (1 when there was none); the result is then
-    the determinant of the whole struck Laplacian.  ``m`` is ``prev`` times a
+    the determinant of the whole matrix eliminated.  ``m`` is ``prev`` times a
     positive semidefinite Schur complement, so a zero diagonal entry has a
     zero row: a zero pivot means the determinant is 0, and no rows are
     swapped (the argument `tau` gives for its own zero pivot).
@@ -166,7 +192,7 @@ def _bareiss(m: list[list[int]], prev: int) -> int:
 
 
 def _finish(mat: np.ndarray, prev: int) -> int:
-    """τ from the dense active block of a struck Laplacian.
+    """Determinant of the matrix `tau` eliminates, from its dense active block.
 
     ``mat`` is the block as an int64 array with entries inside ±2^62, or
     else an object array of Python ints; ``prev`` is as for `_bareiss`.
@@ -176,11 +202,11 @@ def _finish(mat: np.ndarray, prev: int) -> int:
     copied into each chunk as it is, and `_det_mod` reduces each pair of
     rows on first touch; an object block is reduced modulo every prime of
     the chunk first.  Each chunk takes only as many primes as the Hadamard
-    bound on τ still needs; a prime `_det_mod` finds unlucky (one dividing a
-    nonzero leading minor of even order) is dropped and the next chunk draws
-    further primes, until the primes combined exceed the bound.  The
-    residues of τ are then combined by the Chinese remainder theorem (the
-    argument is in the module docstring).
+    bound on the determinant still needs; a prime `_det_mod` finds unlucky
+    (one dividing a nonzero leading minor of even order) is dropped and the
+    next chunk draws further primes, until the primes combined exceed the
+    bound.  Its residues are then combined by the Chinese remainder theorem
+    (the argument is in the module docstring).
     """
     k = len(mat)
     if k < _MODULAR_ROWS:
@@ -207,7 +233,7 @@ def _finish(mat: np.ndarray, prev: int) -> int:
             np.remainder(mat, np.array(chunk, dtype=np.int64)[:, None, None], out=a, casting="unsafe")
         for p, d in zip(chunk, _det_mod(a, chunk)):
             if d is not None:
-                r = d * pow(prev, 1 - k, p)  # τ mod p, up to a multiple of p
+                r = d * pow(prev, 1 - k, p)  # the determinant mod p, up to a multiple of p
                 value += modulus * ((r - value) * pow(modulus, -1, p) % p)
                 modulus *= p
     return value
@@ -288,59 +314,43 @@ def _prime_window(i: int) -> tuple[int, ...]:
 def tau(g: Graph) -> int:
     """Number of spanning trees of ``g``, exactly.
 
-    The determinant of the Laplacian with the row and column of h struck,
-    h being the vertex with the most vertex pairs (the lowest such label, so
-    K_n strikes 0); by the matrix-tree identity every choice of struck
+    Conventions: the 0-vertex graph has 0 spanning trees, the 1-vertex
+    graph has 1, and any disconnected graph has 0.  A graph with fewer than
+    n - 1 vertex pairs joined cannot be connected, so it returns 0 before
+    anything of size n is allocated.
+
+    A near-complete graph, one whose every vertex has at least n - 3 of its
+    n - 1 pairs at the top multiplicity t, is counted through Temperley's
+    identity: det(L + t * J) = t * n^2 * τ, J the all-ones matrix, and
+    L + t * J = t * n * I - L(H) for the deficit H of `_deficit_rows`, a
+    disjoint union of paths and cycles.  `_eliminate` takes that matrix
+    whole, and every step touches at most three rows.  A graph with fewer
+    than n(n - 3)/2 pairs cannot pass the rule, so it is ruled out before
+    any array is built.
+
+    Any other graph gives `_eliminate` its Laplacian with the row and
+    column of h struck, h being the vertex with the most vertex pairs (the
+    lowest such label); by the matrix-tree identity every choice of struck
     index gives the same value, and striking the hub of a star, wheel,
-    flower or K_(2,n) leaves rows that stay small.  Conventions: the
-    0-vertex graph has 0 spanning trees, the 1-vertex graph has 1, and any
-    disconnected graph has 0.  A graph with fewer than n - 1 vertex pairs
-    joined cannot be connected, so it returns 0 before anything of size n
-    is allocated.
-
-    Elimination is fraction-free with symmetric pivoting, the next pivot
-    being an active row with the fewest nonzeros (a heap keyed on row size).
-    After t steps with pivots p_1..p_t (p_0 = 1) the active entry (i, j) is
-    the minor on the pivot rows plus i and the pivot columns plus j, and
-    step t + 1 with pivot p on vertex v sets it to
-    ``(p * a_ij - a_iv * a_vj) // p_t``.  Where a_iv or a_vj is 0 that is
-    ``a_ij * p // p_t``, so an entry need not be touched until a step
-    reads or rewrites it: each entry carries its own scale.  An int x is
-    the graph's own entry, with value ``x * p_t``; a pair (x, s) was
-    written by the step with pivot s, with value ``x * p_t // s``.  Both
-    are exact, since the value is a minor and so an integer.  A step on v
-    rewrites only the entries (i, j) with i and j both in v's row, so it
-    costs the square of that row's size, whatever the size of the rows it
-    touches.  Minimum-degree order eliminates a pendant tree with no fill
-    and each vertex of a cycle with at most one fill entry, so the blocks of
-    the graph are used without decomposing it into them.
-
-    A zero pivot returns 0.  The struck Laplacian is positive semidefinite
-    and the pivots before it are positive, so the block left after them (the
-    active entries divided by the last pivot) is a positive semidefinite
-    matrix with a zero on its diagonal; its row there is all zero and the
-    determinant vanishes.
-
-    Once the next pivot row has a nonzero in at least 1/_DENSE_SHARE of
-    the active columns, the active rows are brought up to date and handed
-    with the last pivot to `_finish`, as int64 when the largest diagonal
-    entry, which bounds every entry, is below 2^62, else as Python ints.
-    Every row holds at least its diagonal, so the sparse stage always ends
-    this way, at the latest with _DENSE_SHARE rows left.
-
-    The row sizes, 1 plus the pairs at the vertex, less one next to h, are
-    counted once, from the edge columns, and seed the heap.  A graph that
-    passes the test on them, such as K_n, goes to `_finish` without
-    building dicts: its struck Laplacian is one array built from the
-    columns, and no other graph builds it, so a sparse graph such as a long
-    cycle allocates nothing of size n^2.
+    flower or K_(2,n) leaves rows that stay small.  The row sizes, 1 plus
+    the pairs at the vertex, less one next to h, are counted once, from
+    the edge columns, and seed the heap.  A graph that passes the dense
+    test on them goes to `_finish` without building dicts: its struck
+    Laplacian is one array built from the columns, and no other graph
+    builds it, so a sparse graph such as a long cycle allocates nothing of
+    size n^2.
     """
     n = g.n_vertices
     if n <= 1:
         return n
     if len(g.u) < n - 1:
         return 0
-    active = n - 1
+    if 2 * len(g.u) >= n * (n - 3):
+        t = int(g.m.max())
+        top = g.m == t
+        if (np.bincount(g.u[top], minlength=n) + np.bincount(g.v[top], minlength=n)).min() >= n - 3:
+            rows = _deficit_rows(g, t)
+            return _eliminate(rows, [(len(row), v) for v, row in enumerate(rows)]) // (t * n * n)
     # row v holds its diagonal and one entry per pair joining v to a vertex
     # other than h, the vertex with the most pairs (the lowest such label)
     pairs = np.bincount(g.u, minlength=n) + np.bincount(g.v, minlength=n)
@@ -350,10 +360,10 @@ def tau(g: Graph) -> int:
     size[g.v[g.u == h]] -= 1
     # size[h], 1 plus the most pairs, is at least every other size, so the
     # minimum is that of a row the struck Laplacian keeps
-    if _DENSE_SHARE * size.min() >= active:
+    if _DENSE_SHARE * size.min() >= n - 1:
         return _finish(_struck_laplacian(g, h), 1)
 
-    rows: list[dict[int, int | tuple[int, int]] | None] = [{v: 0} for v in range(n)]
+    rows: _Rows = [{v: 0} for v in range(n)]
     for u, v, m in zip(g.u.tolist(), g.v.tolist(), g.m.tolist()):
         rows[u][u] += m
         rows[v][v] += m
@@ -363,8 +373,72 @@ def tau(g: Graph) -> int:
     del struck[h]
     for j in struck:
         del rows[j][h]
+    return _eliminate(rows, [(count, v) for v, count in enumerate(size.tolist()) if v != h])
+
+
+def _deficit_rows(g: Graph, t: int) -> _Rows:
+    """The rows of L + t * J = t * n * I - L(H), as dicts for `_eliminate`.
+
+    ``t`` is the top multiplicity of ``g`` and H its deficit: every pair
+    below t, valued t - m, and every absent pair, valued t.  So the
+    diagonal entries are t * n less the deficit at the vertex, and the
+    others are H's values.  `tau` has checked that H has at most two pairs
+    at any vertex; the absent ones are read off one n x n mask, built only
+    when some pair is absent.
+    """
+    n = g.n_vertices
+    low = g.m < t
+    deficit = list(zip(g.u[low].tolist(), g.v[low].tolist(), (t - g.m[low]).tolist()))
+    if 2 * len(g.u) < n * (n - 1):
+        absent = np.ones((n, n), dtype=bool)
+        absent[g.u, g.v] = absent[g.v, g.u] = False
+        deficit += [(a, b, t) for a, b in np.argwhere(absent).tolist() if a < b]
+    rows: _Rows = [{x: t * n} for x in range(n)]
+    for a, b, x in deficit:
+        rows[a][a] -= x
+        rows[b][b] -= x
+        rows[a][b] = rows[b][a] = x
+    return rows
+
+
+def _eliminate(rows: _Rows, heap: list[tuple[int, int]]) -> int:
+    """Determinant of the positive semidefinite integer matrix in ``rows``.
+
+    ``rows[i]`` maps column j to entry (i, j), None for a row the matrix
+    leaves out (the struck vertex), and ``heap`` holds (row size, i) for
+    every row it keeps.  Elimination is fraction-free with symmetric
+    pivoting, the next pivot being an active row with the fewest nonzeros.
+    After t steps with pivots p_1..p_t (p_0 = 1) the active entry (i, j) is
+    the minor on the pivot rows plus i and the pivot columns plus j, and
+    step t + 1 with pivot p on vertex v sets it to
+    ``(p * a_ij - a_iv * a_vj) // p_t``.  Where a_iv or a_vj is 0 that is
+    ``a_ij * p // p_t``, so an entry need not be touched until a step
+    reads or rewrites it: each entry carries its own scale.  An int x is
+    the matrix's own entry, with value ``x * p_t``; a pair (x, s) was
+    written by the step with pivot s, with value ``x * p_t // s``.  Both
+    are exact, since the value is a minor and so an integer.  A step on v
+    rewrites only the entries (i, j) with i and j both in v's row, so it
+    costs the square of that row's size, whatever the size of the rows it
+    touches.  Minimum-degree order eliminates a pendant tree with no fill
+    and each vertex of a cycle with at most one fill entry, so the blocks of
+    a graph are used without decomposing it into them.
+
+    A zero pivot returns 0.  The matrix is positive semidefinite and the
+    pivots before it are positive, so the block left after them (the
+    active entries divided by the last pivot) is a positive semidefinite
+    matrix with a zero on its diagonal; its row there is all zero and the
+    determinant vanishes.
+
+    Once the next pivot row has a nonzero in at least 1/_DENSE_SHARE of
+    the active columns, the active rows are brought up to date and handed
+    with the last pivot to `_finish`, as int64 when the largest diagonal
+    entry, which bounds every entry, is below 2^62, else as Python ints.
+    Every row holds at least its diagonal, so elimination always ends this
+    way, at the latest with _DENSE_SHARE rows left.
+    """
+    n = len(rows)
+    active = len(heap)
     prev = 1  # the last pivot
-    heap = [(count, v) for v, count in enumerate(size.tolist()) if v != h]
     heapq.heapify(heap)
     while True:
         count, v = heapq.heappop(heap)
@@ -394,7 +468,7 @@ def tau(g: Graph) -> int:
             del old[v]
             for j, a_vj in line[k:]:  # (i, j) and (j, i) are written at once
                 x = old.get(j, 0)
-                if type(x) is int:  # the graph's own entry, or none: value x * prev
+                if type(x) is int:  # the matrix's own entry, or none: value x * prev
                     x = (pivot * x - a_iv * a_vj // prev, pivot)
                 else:
                     x = ((pivot * (x[0] * prev // x[1]) - a_iv * a_vj) // prev, pivot)

@@ -207,6 +207,14 @@ class TestTau:
         monkeypatch.setattr(cli, "tau", exhausted)
         assert run("tau", "--cycle", "7") == (2, "", "error: out of memory\n")
 
+    def test_interrupt_is_one_error_line(self, run, monkeypatch):
+        """Ctrl-C during a count: one line and the shell's exit code for
+        SIGINT, no traceback."""
+        def interrupted(g):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(cli, "tau", interrupted)
+        assert run("tau", "--cycle", "7") == (130, "", "error: interrupted\n")
+
     @pytest.mark.parametrize(
         "argv,count", [("--cycle 1000000", 10**6), ("--flower 3,999997", 3 * 999997)]
     )

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spantree.spanning as spanning
+from spantree import cli
 from spantree import (
     Graph,
     Partition,
@@ -32,6 +33,23 @@ from oracles import (
     random_multigraph,
     tau_bruteforce,
 )
+
+
+def raised(n: int, m: int = 1) -> Graph:
+    """K_n of uniform multiplicity m with pair (0, 1) raised to m + 1.
+
+    Only that pair is at the top multiplicity, so from n = 4 on the graph
+    is not near-complete: `tau` strikes vertex 0 of its Laplacian, every
+    vertex having n - 1 pairs, and takes the dense start, finished by
+    `_bareiss` below _MODULAR_ROWS rows and modulo primes from there.  Its τ is
+    m^(n-2) * n^(n-3) * (m * n + 2): a tree through (0, 1), one of
+    2 * n^(n-3), weighs m^(n-2) * (m + 1), any other m^(n-1).
+    """
+    return Graph(n, tuple((u, v, m + ((u, v) == (0, 1))) for u, v in combinations(range(n), 2)))
+
+
+def raised_tau(n: int, m: int = 1) -> int:
+    return m ** (n - 2) * n ** (n - 3) * (m * n + 2)
 
 
 def busiest(g: Graph) -> int:
@@ -87,8 +105,9 @@ class TestLaplacian:
             assert block.tolist() == principal_minor(laplacian(g), h)
 
     def test_complete_struck_at_zero(self, monkeypatch):
-        """Every vertex of K_n has n - 1 pairs, so `tau` strikes the lowest
-        label, 0, and builds the trailing (n - 1) x (n - 1) block."""
+        """Every vertex of K_n with pair (0, 1) doubled has n - 1 pairs, so
+        `tau` strikes the lowest label, 0, and builds the trailing
+        (n - 1) x (n - 1) block."""
         blocks = []
 
         def spy(g, h):
@@ -99,8 +118,9 @@ class TestLaplacian:
         monkeypatch.setattr(spanning, "_struck_laplacian", spy)
         for n in (5, 30):
             blocks.clear()
-            assert tau(complete(n)) == n ** (n - 2)
-            assert blocks == [(0, principal_minor(laplacian(complete(n)), 0))]
+            g = raised(n)
+            assert tau(g) == n ** (n - 2) + 2 * n ** (n - 3) == dense_tau(g)
+            assert blocks == [(0, principal_minor(laplacian(g), 0))]
 
 
 class TestDeterminant:
@@ -443,6 +463,122 @@ class TestTauFamilies:
                 assert tau(g) == m ** (n - 1) * n ** (n - 2)
 
 
+def deficient(rng: random.Random, n: int, t: int) -> Graph:
+    """Uniform K_n of multiplicity t less random disjoint paths and cycles,
+    each of their pairs removed or lowered below t, under shuffled labels."""
+    order = list(range(n))
+    rng.shuffle(order)
+    deficit = {}
+    while order:
+        cut = rng.randint(1, len(order))
+        piece, order = order[:cut], order[cut:]
+        links = list(zip(piece, piece[1:]))
+        if len(piece) >= 3 and rng.random() < 0.5:
+            links.append((piece[-1], piece[0]))
+        for a, b in links:
+            deficit[min(a, b), max(a, b)] = rng.randrange(t)  # 0 removes the pair
+    edges = ((u, v, deficit.get((u, v), t)) for u, v in combinations(range(n), 2))
+    return Graph(n, tuple(e for e in edges if e[2]))
+
+
+class TestNearComplete:
+    """Graphs whose every vertex has at least n - 3 pairs at the top
+    multiplicity, counted through Temperley's identity: neither the struck
+    Laplacian nor the modular finish is ever used on them."""
+
+    @staticmethod
+    def unused(*args):
+        raise AssertionError("the struck Laplacian or the modular finish was used")
+
+    @pytest.fixture()
+    def temperley_only(self, monkeypatch):
+        for name in ("_struck_laplacian", "_det_mod"):
+            monkeypatch.setattr(spanning, name, self.unused)
+
+    def test_cayley(self, temperley_only):
+        for n in (*range(2, 60), 150, 300):
+            assert tau(complete(n)) == n ** (n - 2)
+
+    def test_uniform(self, monkeypatch, temperley_only):
+        """m^(n-1) * n^(n-2), with multiplicities on both sides of 2^62 // n
+        and past 2^62, where the columns hold Python ints.  K_4's rows pass
+        the dense test at once, so its whole matrix, of diagonal 4m, is
+        handed over as int64 below 2^62 // 4 and as Python ints from there."""
+        dtypes = []
+
+        def spy(mat, prev):
+            dtypes.append(mat.dtype)
+            return finish(mat, prev)
+
+        finish = spanning._finish
+        monkeypatch.setattr(spanning, "_finish", spy)
+        for n in (2, 3, 4, 7, 30, 90):
+            for m in (2, 3, 2**62 // n - 1, 2**62 // n, 2**62 // n + 1, 2**63, 2**70):
+                g = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
+                dtypes.clear()
+                assert tau(g) == m ** (n - 1) * n ** (n - 2)
+                if n == 4:
+                    assert dtypes == [np.int64 if m < 2**62 // n else object]
+
+    def test_complete_less_an_edge(self, temperley_only):
+        for n in (*range(3, 41), 200):
+            g = Graph(n, tuple(e for e in complete(n).edges if e[:2] != (1, n - 1)))
+            assert tau(g) == (n - 2) * n ** (n - 3)
+
+    def test_cocktail_party(self, temperley_only):
+        """K_2k less a perfect matching: (2k)^(k-2) * (2k - 2)^k."""
+        for k in (*range(2, 21), 500):
+            g = Graph(2 * k, tuple(e for e in complete(2 * k).edges if e[:2] != (e[0], e[0] ^ 1)))
+            assert tau(g) == (2 * k) ** (k - 2) * (2 * k - 2) ** k
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 40), t=st.integers(1, 4), seed=st.integers(0, 2**32))
+    def test_matches_dense_oracle(self, n, t, seed):
+        g = deficient(random.Random(seed), n, t)
+        expected = dense_tau(g)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_struck_laplacian", "_det_mod"):
+                patch.setattr(spanning, name, self.unused)
+            assert tau(g) == expected
+
+    def test_three_lacking_pairs_build_the_array(self, monkeypatch):
+        """A vertex with two pairs below the top is still near-complete; one
+        with three, removed or lowered, takes the struck Laplacian."""
+        built = []
+
+        def spy(g, h):
+            built.append(h)
+            return struck(g, h)
+
+        struck = spanning._struck_laplacian
+        monkeypatch.setattr(spanning, "_struck_laplacian", spy)
+        for n in (8, 30):
+            for lacking in (2, 3):
+                for low in (0, 1):  # the lacking pairs of vertex 0 removed, or at 1 of 2
+                    edges = ((u, v, low if u == 0 and v <= lacking else 2) for u, v, _ in complete(n).edges)
+                    g = Graph(n, tuple(e for e in edges if e[2]))
+                    built.clear()
+                    assert tau(g) == dense_tau(g)
+                    assert built == ([busiest(g)] if lacking == 3 else [])
+
+    def test_largest_complete_graphs_in_seconds(self, capped_python):
+        """`tau --complete 1000`, over 80 s as one modular block, and
+        `--complete 1414`, the largest the edge limit accepts, count in a
+        few seconds under the address-space cap."""
+        assert 1414 * 1413 // 2 <= cli._LIST_LIMIT < 1415 * 1414 // 2
+        proc = capped_python("-c", (
+            "import time\n"
+            "from spantree.cli import main\n"
+            "for n in (1000, 1414):\n"
+            "    start = time.perf_counter()\n"
+            "    main(['tau', '--complete', str(n)])\n"
+            "    print(time.perf_counter() - start < 5)\n"
+        ))
+        counts = [cli._decimal(n ** (n - 2)) for n in (1000, 1414)]
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split() == [counts[0], "True", counts[1], "True"]
+
+
 def dense_multigraph(rng: random.Random, n: int, low: int = 1, high: int = 3) -> Graph:
     """Each pair joined with probability 0.55-0.85, multiplicity in [low, high]."""
     density = rng.uniform(0.55, 0.85)
@@ -508,9 +644,9 @@ class TestModularFinish:
 
         for name in ("_bareiss", "_det_mod"):
             monkeypatch.setattr(spanning, name, spy(name))
-        for k in (rows, rows - 1):  # K_(k+1) leaves a dense block of k rows
+        for k in (rows, rows - 1):  # K_(k+1), (0, 1) doubled, leaves a dense block of k rows
             calls.clear()
-            assert tau(complete(k + 1)) == (k + 1) ** (k - 1)
+            assert tau(raised(k + 1)) == raised_tau(k + 1)
             assert calls == [("_det_mod" if k == rows else "_bareiss", k)]
 
     def test_multiplicities_beyond_int64(self):
@@ -720,17 +856,17 @@ class TestModularFinish:
         """At the default budget an 89-row block takes every prime its
         Hadamard bound needs in one `_det_mod` call."""
         shapes = self.det_mod_shapes(monkeypatch)
-        n, m = 90, 3
-        tripled = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
-        for g, expected in ((complete(n), n ** (n - 2)), (tripled, m ** (n - 1) * n ** (n - 2))):
+        n = 90
+        for m in (1, 3):  # K_90 and the tripled K_90, pair (0, 1) one higher
             shapes.clear()
-            assert tau(g) == expected
+            assert tau(raised(n, m)) == raised_tau(n, m)
             assert len(shapes) == 1
             assert np.prod(shapes[0]) <= spanning._CHUNK_ENTRIES
 
     def test_dense_from_the_start(self, monkeypatch):
-        """K_90, the tripled K_90 and a p = 0.55 multigraph on 35 vertices
-        reach `_finish` whole (prev 1, no sparse step) as int64 arrays."""
+        """K_90 and the tripled K_90, pair (0, 1) one higher, and a p = 0.55
+        multigraph on 35 vertices reach `_finish` whole (prev 1, no sparse
+        step) as int64 arrays."""
         finishes = []
 
         def spy(mat, prev):
@@ -739,13 +875,11 @@ class TestModularFinish:
 
         finish = spanning._finish
         monkeypatch.setattr(spanning, "_finish", spy)
-        n, m = 90, 3
-        tripled = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
         rng = random.Random(59)
         multi = Graph(35, tuple(
             (u, v, rng.randint(1, 3)) for u, v in combinations(range(35), 2) if rng.random() < 0.55
         ))
-        for g in (complete(n), tripled, multi):
+        for g in (raised(90), raised(90, 3), multi):
             finishes.clear()
             tau(g)
             k = g.n_vertices - 1
@@ -779,13 +913,15 @@ class TestModularFinish:
         seed=st.integers(0, 2**32),
     )
     def test_array_built_iff_rows_pass(self, core, density, pendants, isolated, hub, seed):
-        """`tau` builds the struck Laplacian exactly when its smallest dict
-        row, counted here from the edges with the busiest vertex struck,
-        passes the dense test, on dense cores with pendant and isolated
-        vertices and extra neighbours of vertex 0, under shuffled labels."""
+        """`tau` builds the struck Laplacian exactly when the graph is not
+        near-complete and its smallest dict row, counted here from the
+        edges with the busiest vertex struck, passes the dense test, on
+        dense cores with pair (0, 1) doubled, pendant and isolated vertices
+        and extra neighbours of vertex 0, under shuffled labels."""
         rng = random.Random(seed)
         n = core + pendants + isolated
-        edges = [(u, v) for u, v in combinations(range(core), 2) if rng.random() < density]
+        edges = [(0, 1)] * 2
+        edges += [(u, v) for u, v in list(combinations(range(core), 2))[1:] if rng.random() < density]
         edges += [(rng.randrange(core), w) for w in range(core, core + pendants)]
         label = list(range(n))
         rng.shuffle(label)
@@ -805,7 +941,9 @@ class TestModularFinish:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spanning, "_struck_laplacian", spy)
             assert tau(g) == dense_tau(g)
-        assert built == ([h] if spanning._DENSE_SHARE * smallest >= n - 1 else [])
+        top = max(m for *_, m in g.edges)
+        near = all(sum(m == top for u, v, m in g.edges if x in (u, v)) >= n - 3 for x in range(n))
+        assert built == ([h] if not near and spanning._DENSE_SHARE * smallest >= n - 1 else [])
 
     def test_int64_bound(self):
         """A residue, or a raw entry inside ±2^62, less a sum of
@@ -858,8 +996,9 @@ class TestModularFinish:
         assert spanning._det_mod(a, primes[:2]) == [None, det_bareiss(mat) % primes[1]]
 
     def test_uniform_k30_raw_and_reduced(self, monkeypatch):
-        """Multiplicity 2^56 keeps the int64 block raw; 2^62 // 30 + 1
-        makes it an object block, reduced before `_det_mod`."""
+        """Uniform K_30, pair (0, 1) one higher: multiplicity 2^56 keeps the
+        int64 block raw; 2^62 // 30 + 1 makes it an object block, reduced
+        before `_det_mod`."""
         dtypes = []
 
         def spy(mat, prev):
@@ -870,8 +1009,7 @@ class TestModularFinish:
         monkeypatch.setattr(spanning, "_finish", spy)
         n = 30
         for m, dtype in ((2**56, np.int64), (2**62 // n + 1, object)):
-            g = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
-            assert tau(g) == m ** (n - 1) * n ** (n - 2)
+            assert tau(raised(n, m)) == raised_tau(n, m)
             assert dtypes.pop() == dtype
 
     def test_sparse_handoff_inside_int64_bound(self, monkeypatch):
@@ -894,10 +1032,9 @@ class TestModularFinish:
         assert blocks and all(dtype != np.int64 or top < 2**62 for dtype, top in blocks)
 
     def test_large_complete_graphs(self):
-        assert tau(complete(150)) == 150**148
-        n, m = 120, 3
-        g = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
-        assert tau(g) == m ** (n - 1) * n ** (n - 2)
+        """K_150 and the tripled K_120, pair (0, 1) one higher."""
+        assert tau(raised(150)) == raised_tau(150)
+        assert tau(raised(120, 3)) == raised_tau(120, 3)
 
     def test_periodic_reduction(self, monkeypatch):
         monkeypatch.setattr(spanning, "_REDUCE_EVERY", 3)
@@ -909,7 +1046,7 @@ class TestModularFinish:
     def test_primes_run_out(self, monkeypatch):
         """A bound beyond every prime falls back to Bareiss."""
         monkeypatch.setattr(spanning, "_primes", lambda: iter([13, 11, 7]))
-        assert tau(complete(30)) == 30**28
+        assert tau(raised(30)) == raised_tau(30)
 
     def test_primes(self):
         bound = 299**299  # the Hadamard bound of K_300
@@ -925,9 +1062,9 @@ class TestModularFinish:
 
     def test_primes_sieved_on_first_use(self, capped_python):
         proc = capped_python("-c", (
-            "from spantree import complete, spanning\n"
+            "from spantree import Graph, complete, spanning\n"
             "print(spanning._prime_window.cache_info().currsize)\n"
-            "spanning.tau(complete(25))\n"
+            "spanning.tau(Graph(25, complete(25).edges + ((0, 1),)))\n"
             "print(spanning._prime_window.cache_info().currsize)\n"
         ))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n1\n", "")
