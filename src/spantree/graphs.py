@@ -25,10 +25,11 @@ that holds canonical columns skips that through `_graph`, called only by
 vertex 0 and a path on from it: `cycle`, `path`, flowers and witnesses.  An
 edge list of plain digits, spaces and newlines is parsed in bulk by numpy
 instead, which reads every token with one ``np.fromstring``, sorts the keys
-and sums each run of equal keys: the vectorised image of the same check and
-merge, which the tests compare with the line loop, and its sorted columns
-are the graph's.  Either way the result equals what ``Graph(...)`` would
-make of the same edges, so equality and hashing are unaffected.
+and, when a pair repeats, sums each run of equal keys: the vectorised image
+of the same check and merge, which the tests compare with the line loop,
+and its sorted columns are the graph's.  Either way the result equals what
+``Graph(...)`` would make of the same edges, so equality and hashing are
+unaffected.
 """
 
 from __future__ import annotations
@@ -317,12 +318,18 @@ def _parse_bulk(text: str) -> Graph | None:
     u, v, m = (np.concatenate(column) for column in zip(*blocks))
     if len(m) and int(m.max()) * len(m) >= 1 << 62:  # the int64 sums could wrap
         return None
-    # a stable sort, whose code is a third the size of the default's
+    # the default sort kind: on 3,000 keys below 90^2 it takes 35 us against
+    # the stable kind's 138, for 256 KiB of resident code pages against 128
+    # (the RssFile step of /proc/self/status on its first call, numpy 2.4)
     keys = u * n + v
-    order = np.argsort(keys, kind="stable")
-    runs = np.flatnonzero(np.diff(keys[order], prepend=-1))  # where each key starts
-    m = np.add.reduceat(m[order], runs)
-    order = order[runs]
+    order = np.argsort(keys)
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():  # some pair repeats: sum each run of equal keys
+        runs = np.flatnonzero(np.diff(keys, prepend=-1))  # where each key starts
+        m = np.add.reduceat(m[order], runs)
+        order = order[runs]
+    else:
+        m = m[order]
     return _graph(n, u[order], v[order], m)
 
 

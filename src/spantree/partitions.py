@@ -74,7 +74,7 @@ def _primes_in(lo: int, hi: int) -> list[int]:
 
     Only [lo, hi) is sieved, by the primes up to its square root, which come
     from the same sieve; so memory is hi - lo flags however large hi is.
-    `spanning` sieves its windows of CRT primes below 2^26 with it.
+    `spanning` sieves its windows of CRT primes below 2^27 with it.
     """
     lo = max(lo, 2)
     if hi <= lo:

@@ -3,7 +3,7 @@
 No floating point is involved at any step, so counts stay exact at any
 magnitude.  Elimination runs on Python ints, except that dense blocks of
 at least _MODULAR_ROWS rows are eliminated on int64 residues modulo primes
-below 2^26, and the count is rebuilt from those by the Chinese remainder
+below 2^27, and the count is rebuilt from those by the Chinese remainder
 theorem.  All functions are pure.  The one shared state is a cache of
 sieved prime windows, filled on first use (not at import) with values that
 depend on nothing else, so the functions are safe to call from concurrent
@@ -70,7 +70,7 @@ send some (x0, x1) ≠ 0, extended by zeros, to zero.  Its two rows would
 then be dependent, and so would their residues, since their denominators are
 products of earlier pivots, units modulo p.  So only the finitely many
 prime factors of B's nonzero leading minors of even order are skipped, and
-further primes fix δ; if the primes below 2^26 run out first, `_bareiss`
+further primes fix δ; if the primes below 2^27 run out first, `_bareiss`
 finishes the block.  A disconnected graph gives residue 0 for every prime.
 
 Why int64 does not overflow.  `_finish` takes a block as int64 only when
@@ -79,18 +79,17 @@ below 2^62 // n, the sparse stage a largest diagonal entry below 2^62,
 which bounds every entry of its positive semidefinite block.  Such a block
 is eliminated from its raw entries; any other block holds Python ints and
 is first reduced modulo each prime, so its entries start in [0, p) with
-p < 2^26.  The update of a pair's two rows subtracts sums of at most
-_REDUCE_EVERY = 2^10 products of two residues, each below 2^52, so each
+p < 2^27.  The update of a pair's two rows subtracts sums of at most
+_REDUCE_EVERY = 2^8 products of two residues, each below 2^54, so each
 sum is below 2^62, and reduces the result before the next such sum.  Both
 rows are reduced with their first update (the first pair, which has none,
 alone).  The pivot block's determinant and the dependence test's minors
-are differences of two products of residues, in (-2^52, 2^52); each entry
-of the block's inverse
-is a product of two residues, reduced; each scaled multiplier is a sum of
-two such products, below 2^53, reduced; every stored entry is a residue.
-So every product is one of residues.  A raw entry less one sum lies in
-(-2^63, 2^62), a residue less one sum in (-2^62, 2^26): no intermediate
-value leaves int64.
+are differences of two products of residues, in (-2^54, 2^54); each entry
+of the block's inverse is a product of two residues, reduced; each scaled
+multiplier is a sum of two such products, below 2^55, reduced; every stored
+entry is a residue.  So every product is one of residues.  A raw entry less
+one sum lies in (-2^63, 2^62), a residue less one sum in (-2^62, 2^27): no
+intermediate value leaves int64.
 """
 
 from __future__ import annotations
@@ -124,8 +123,8 @@ _DENSE_SHARE = 4
 # reaches neither kernel; K_n with one pair doubled leaves a block of the
 # same shape
 _MODULAR_ROWS = 18
-# the primes lie below 2^_PRIME_BITS, so a product of two residues is < 2^52
-_PRIME_BITS = 26
+# the primes lie below 2^_PRIME_BITS, so a product of two residues is < 2^54
+_PRIME_BITS = 27
 # primes are sieved in windows of this many consecutive integers
 _PRIME_WINDOW = 1 << 14
 # int64 entries per working array of the multimodular finish (2 MiB): a block
@@ -138,9 +137,9 @@ _PRIME_WINDOW = 1 << 14
 # 675 (936) ms; peak RSS 37 / 40 / 57 MB (K_n's blocks, the shape K_n with
 # one pair doubled still leaves)
 _CHUNK_ENTRIES = 1 << 18
-# products summed between reductions of a pair's rows; below 2^11 each
-# sum stays inside int64 (see the module docstring)
-_REDUCE_EVERY = 1 << 10
+# products summed between reductions of a pair's rows: each sum stays below
+# 2^62, so a raw entry less it stays inside int64 (see the module docstring)
+_REDUCE_EVERY = 1 << (62 - 2 * _PRIME_BITS)
 
 
 def _struck_laplacian(g: Graph, h: int) -> np.ndarray:
@@ -222,7 +221,7 @@ def _finish(mat: np.ndarray, prev: int) -> int:
             cover *= p
             if cover > bound or len(chunk) == per_chunk:
                 break
-        if not chunk:  # the bound outgrows every prime below 2^26, about 2^(9.7 * 10^7)
+        if not chunk:  # the bound outgrows every prime below 2^27, about 2^(1.9 * 10^8)
             return _bareiss(mat.tolist(), prev)
         a = np.empty((len(chunk), k, k), dtype=np.int64)
         if mat.dtype == np.int64:

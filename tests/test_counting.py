@@ -956,8 +956,41 @@ class TestModularFinish:
         # minors are differences of two products of residues, the entries
         # of adj(D) * det(D)^-1 products of two residues, and the scaled
         # multipliers sums of two of those products
-        assert (top - 1) ** 2 < 2**52
-        assert 2 * (top - 1) ** 2 < 2**53
+        assert (top - 1) ** 2 < 2 ** (2 * spanning._PRIME_BITS)
+        assert 2 * (top - 1) ** 2 < 2 ** (2 * spanning._PRIME_BITS + 1) <= 2**63
+
+    @staticmethod
+    def unit_pairs(k: int) -> np.ndarray:
+        """L L^T for the k x k lower triangular L with the 2 x 2 identity on
+        its block diagonal and -1 everywhere left of it; det = det(L)^2 = 1."""
+        i, j = np.indices((k, k))
+        low = np.eye(k, dtype=np.int64) - (j < i - i % 2)
+        return low @ low.T
+
+    def test_det_mod_worst_case_sums(self):
+        """Every product the row updates sum is (p - 1)^2, the largest
+        there is, in chunks of _REDUCE_EVERY, subtracted from residues and
+        from raw entries just above -2^62.
+
+        The pivot blocks of `unit_pairs` are the identity, and every stored
+        multiplier and unscaled row entry is -1 ≡ p - 1.  k = 2 *
+        _REDUCE_EVERY + 3 makes the last pairs sum two full chunks and ends
+        on a 1 x 1 pivot.  An int64 sum that wrapped would change the
+        residues.  `det_bareiss` confirms det = 1 on a small k, as it would
+        take seconds on this one.
+        """
+        assert det_bareiss(self.unit_pairs(13).tolist()) == 1
+        k = 2 * spanning._REDUCE_EVERY + 3
+        mat = self.unit_pairs(k)
+        supply = spanning._primes()
+        primes = [next(supply) for _ in range(3)]
+        mods = np.array(primes, dtype=np.int64)[:, None, None]
+        reduced = mat % mods
+        # each residue less the most multiples of p that keep it inside ±2^62
+        raw = reduced - mods * ((2**62 - 1 + reduced) // mods)
+        assert raw.min() > -(2**62) and raw.max() < -(2**62) + 2**spanning._PRIME_BITS
+        for a in (reduced, raw):
+            assert spanning._det_mod(a, primes) == [1] * len(primes)
 
     def test_det_mod_raw_entries(self):
         """Unreduced int64 entries inside ±2^62 give the residues of the
@@ -1058,7 +1091,7 @@ class TestModularFinish:
                 break
         assert cover > bound
         assert primes == sorted(set(primes), reverse=True)
-        assert all(p < 2**26 and is_prime(p) for p in primes)
+        assert all(p < 2**spanning._PRIME_BITS and is_prime(p) for p in primes)
 
     def test_primes_sieved_on_first_use(self, capped_python):
         proc = capped_python("-c", (
