@@ -17,14 +17,32 @@ sparse they are dicts, and a step rewrites only the entries (i, j) with i
 and j both in the pivot's row, at a cost of that row's size squared.  Every
 other entry keeps the pivot at which it was written and is rescaled when
 next read; the rescale divides exactly because every entry of the active
-block is a minor of the integer matrix.  Once the next pivot row is dense,
-`_finish` takes the active block as a numpy array: below _MODULAR_ROWS rows
-to `_bareiss`, a list-of-lists Bareiss loop, from there on to `_det_mod`:
-left-looking block LDL^T elimination of its residues modulo a batch of
-primes, two rows at a time.  Neither swaps rows.  The density test runs on
-row sizes counted from the graph's edge columns; a graph dense from the
-start skips the sparse stage, its struck Laplacian one array built from
-them.
+block is a minor of the integer matrix, and a pair written at the last
+pivot is read as stored.  Only a pivot row of four entries or more takes
+the density test, so path and cycle remainders are finished in the dicts:
+when no active row is left, the last pivot, the leading principal minor
+of full order, is the determinant.  Once the next pivot row has four
+entries or more and is dense, `_finish` takes the active block as a numpy
+array: below _MODULAR_ROWS rows to `_bareiss`, a list-of-lists Bareiss
+loop, from there on to `_det_mod`: left-looking block LDL^T elimination
+of its residues modulo a batch of primes, two rows at a time.  Neither
+swaps rows.  The density test runs on row sizes counted from the graph's
+edge columns; a graph dense from the start skips the sparse stage, its
+struck Laplacian one array built from them.
+
+Division-free steps.  An entry no step has rewritten is the graph's own, an
+int x of value x * prev, prev the last pivot.  A step rewrites (i, i)
+whenever it rewrites (i, j), so a row whose diagonal x_v is an int holds
+only such entries x_i.  Its pivot is x_v * prev and a_iv = x_i * prev, so
+the step's update (pivot * A - a_iv * a_vj) / prev of an entry of value A
+is x_v * A - x_i * x_j * prev, and for an int entry y, of value y * prev,
+it is prev * (x_v * y - x_i * x_j).  Both are sums of integer products,
+exact with no division and no product of two prev-sized numbers.  Rows
+that a step has rewritten take the general form, whose quotient is exact
+because the result is a minor.  In a star or K_(m,n) struck at a hub
+every step but the last is on a row of its own, in a grid about half;
+a path, a cycle, a wheel's rim or a flower's petal takes one such step,
+and its other steps read pairs written at the last pivot as stored.
 
 Near-complete graphs.  Let t be the largest multiplicity of G, and H its
 deficit: the pairs below t, each valued t - m, and the absent pairs, each
@@ -110,8 +128,9 @@ __all__ = ["tau"]
 # the sparse rows of `_eliminate`: row i maps column j to entry (i, j), an
 # int or a pair (x, s), and is None once eliminated or struck
 _Rows = list[dict[int, int | tuple[int, int]] | None]
-# `tau` eliminates dense lists, not dicts, once the next pivot row has a
-# nonzero in at least 1/_DENSE_SHARE of the active columns
+# `tau` eliminates dense lists, not dicts, once the next pivot row has four
+# entries or more and a nonzero in at least 1/_DENSE_SHARE of the active
+# columns
 _DENSE_SHARE = 4
 # dense blocks with fewer rows are finished by `_bareiss`, larger ones
 # modulo primes.  They cross at 18 rows: on K_(k+1) and 5 multigraphs
@@ -414,8 +433,11 @@ def _eliminate(rows: _Rows, heap: list[tuple[int, int]]) -> int:
     ``a_ij * p // p_t``, so an entry need not be touched until a step
     reads or rewrites it: each entry carries its own scale.  An int x is
     the matrix's own entry, with value ``x * p_t``; a pair (x, s) was
-    written by the step with pivot s, with value ``x * p_t // s``.  Both
-    are exact, since the value is a minor and so an integer.  A step on v
+    written by the step with pivot s, with value ``x * p_t // s``, which
+    is x itself when s is p_t.  Both are exact, since the value is a minor
+    and so an integer.  A step on a row whose diagonal is an int, one no
+    step has rewritten, takes the division-free form of the module
+    docstring; any other step the general one.  A step on v
     rewrites only the entries (i, j) with i and j both in v's row, so it
     costs the square of that row's size, whatever the size of the rows it
     touches.  Minimum-degree order eliminates a pendant tree with no fill
@@ -428,23 +450,26 @@ def _eliminate(rows: _Rows, heap: list[tuple[int, int]]) -> int:
     matrix with a zero on its diagonal; its row there is all zero and the
     determinant vanishes.
 
-    Once the next pivot row has a nonzero in at least 1/_DENSE_SHARE of
-    the active columns, the active rows are brought up to date and handed
-    with the last pivot to `_finish`, as int64 when the largest diagonal
-    entry, which bounds every entry, is below 2^62, else as Python ints.
-    Every row holds at least its diagonal, so elimination always ends this
-    way, at the latest with _DENSE_SHARE rows left.
+    Once the next pivot row has four entries or more and a nonzero in at
+    least 1/_DENSE_SHARE of the active columns, the active rows are
+    brought up to date and handed with the last pivot to `_finish`, as
+    int64 when the largest diagonal entry, which bounds every entry, is
+    below 2^62, else as Python ints.  A pivot row of at most three entries
+    writes at most three entries, and minimum-degree order keeps the rows
+    of a path or cycle remainder that small, so it stays in the dicts to
+    its last row; when no active row is left, the last pivot, the leading
+    principal minor of full order, is returned.
     """
     n = len(rows)
     active = len(heap)
     prev = 1  # the last pivot
     heapq.heapify(heap)
-    while True:
+    while active:
         count, v = heapq.heappop(heap)
         row = rows[v]
         if row is None or len(row) != count:
             continue  # eliminated, or its size changed since this push
-        if _DENSE_SHARE * count >= active:
+        if count > 3 and _DENSE_SHARE * count >= active:
             order = [i for i in range(n) if rows[i] is not None]
             col = {j: c for c, j in enumerate(order)}
             block = []
@@ -458,19 +483,30 @@ def _eliminate(rows: _Rows, heap: list[tuple[int, int]]) -> int:
         rows[v] = None
         active -= 1
         x = row.pop(v)
-        pivot = x * prev if type(x) is int else x[0] * prev // x[1]
+        # a step that rewrites (i, j) rewrites (i, i), so a row whose
+        # diagonal is an int holds only the graph's own entries, and its
+        # step needs no division: line holds them as they are, x is x_v
+        own = type(x) is int
+        if own:
+            pivot = x * prev
+            line = list(row.items())
+        else:
+            pivot = x[0] if x[1] == prev else x[0] * prev // x[1]
+            line = [(j, y * prev if type(y) is int else y[0] if y[1] == prev else y[0] * prev // y[1])
+                    for j, y in row.items()]
         if pivot == 0:
             return 0
-        line = [(j, x * prev if type(x) is int else x[0] * prev // x[1]) for j, x in row.items()]
         for k, (i, a_iv) in enumerate(line):  # a_iv = a_vi: the active block is symmetric
             old = rows[i]
             del old[v]
             for j, a_vj in line[k:]:  # (i, j) and (j, i) are written at once
-                x = old.get(j, 0)
-                if type(x) is int:  # the matrix's own entry, or none: value x * prev
-                    x = (pivot * x - a_iv * a_vj // prev, pivot)
+                y = old.get(j, 0)
+                if type(y) is int:  # the matrix's own entry, or none: value y * prev
+                    y = prev * (x * y - a_iv * a_vj) if own else pivot * y - a_iv * a_vj // prev
                 else:
-                    x = ((pivot * (x[0] * prev // x[1]) - a_iv * a_vj) // prev, pivot)
-                old[j] = rows[j][i] = x
+                    y = y[0] if y[1] == prev else y[0] * prev // y[1]
+                    y = x * y - a_iv * a_vj * prev if own else (pivot * y - a_iv * a_vj) // prev
+                old[j] = rows[j][i] = (y, pivot)
             heapq.heappush(heap, (len(old), i))
         prev = pivot
+    return prev

@@ -16,6 +16,7 @@ from spantree import (
     build_witness,
     complete,
     cycle,
+    flower,
     format_edge_list,
     parse_edge_list,
     path,
@@ -382,12 +383,18 @@ class TestTauProperties:
     def test_dense_core_with_attachments(self, monkeypatch):
         """Sparse steps on the attachments, then a dense finish of the core.
 
-        A core of 12 is finished by Bareiss, a core of 40 modulo primes.
+        A core of 12 is finished by Bareiss, a core of 40 modulo primes,
+        each handed over as int64 exactly when its largest diagonal entry,
+        which bounds every entry, is below 2^62.  Then a uniform K_13 of
+        multiplicity M with paths of single edges hanging off it: every
+        pivot before the core's is 1, so the core reaches `_finish` as M
+        times the struck Laplacian of K_13, 12 rows of diagonal 12M, as
+        int64 for M up to 2^62 // 12 and as Python ints from there.
         """
         finishes = []
 
         def spy(block, prev):
-            finishes.append((len(block), prev))
+            finishes.append((len(block), prev, block.dtype, max(block.diagonal().tolist())))
             return finish(block, prev)
 
         finish = spanning._finish
@@ -403,10 +410,25 @@ class TestTauProperties:
                 value = tau(g)
                 # the sparse stage ran (its last pivot divides the first
                 # dense step) and left more than one row to the dense finish
-                [(size, prev)] = finishes
+                [(size, prev, dtype, top)] = finishes
                 assert size > 1 and prev > 1
+                assert dtype == (np.int64 if top < 2**62 else object)
                 assert (size >= spanning._MODULAR_ROWS) == (core == 40)
                 assert value == dense_tau(g) > 0
+        k = 12
+        edges = [(u, v) for u, v, _ in complete(k + 1).edges]
+        n = k + 1
+        for length in (1, 3, 8, 20):
+            chain = [rng.randrange(k + 1), *range(n, n + length)]
+            edges += zip(chain, chain[1:])
+            n += length
+        label = list(range(n))
+        rng.shuffle(label)
+        for m in (2**62 // k - 1, 2**62 // k, 2**62 // k + 1, 2**63):
+            g = Graph(n, tuple((label[u], label[v], m if v <= k else 1) for u, v in edges))
+            finishes.clear()
+            assert tau(g) == m**k * (k + 1) ** (k - 1)
+            assert finishes == [(k, 1, np.int64 if k * m < 2**62 else object, k * m)]
 
 
 class TestTauFamilies:
@@ -424,23 +446,34 @@ class TestTauFamilies:
         holds at most three entries, so a step writes at most nine however
         long another hub's row is.  A sparse stage that rebuilt each
         neighbour's whole row took more than 60 s on every one of these
-        sizes, so they run in a child process under its 60 s timeout."""
-        star, rim, pair, triple = 50_000, 4000, 6000, 2500
+        sizes, so they run in a child process under its 60 s timeout.
+        K_(2,15000) is timed as well: each rim step is on the graph's own
+        row, so it needs no division and reads the other hub's diagonal as
+        stored; steps that divided by the last pivot, up to 2^15000, took
+        5-6 s."""
+        star, rim, pair, triple, wide = 50_000, 4000, 6000, 2500, 15_000
         proc = capped_python("-c", (
+            "import time\n"
             "from spantree import Graph, tau\n"
+            "def bipartite(m, n):\n"
+            "    return Graph(n + m, tuple((v, h) for v in range(n) for h in range(n, n + m)))\n"
             f"print(hex(tau(Graph({star + 1}, tuple((v, {star}) for v in range({star}))))))\n"
             f"k = {rim}\n"
             "ring = tuple((v, (v + 1) % k) for v in range(k))\n"
             "print(hex(tau(Graph(k + 1, ring + tuple((v, k) for v in range(k))))))\n"
             f"for m, n in ((2, {pair}), (3, {triple})):\n"
-            "    print(hex(tau(Graph(n + m, tuple((v, h) for v in range(n) for h in range(n, n + m))))))\n"
+            "    print(hex(tau(bipartite(m, n))))\n"
+            f"g = bipartite(2, {wide})\n"
+            "start = time.perf_counter()\n"
+            "print(hex(tau(g)), time.perf_counter() - start < 2)\n"
         ))
         lucas = [2, 1]
         while len(lucas) <= 2 * rim:
             lucas.append(lucas[-1] + lucas[-2])
         counts = [1, lucas[2 * rim] - 2, 2 ** (pair - 1) * pair, 3 ** (triple - 1) * triple**2]
+        counts.append(2 ** (wide - 1) * wide)
         assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout.split() == [hex(c) for c in counts]
+        assert proc.stdout.split() == [*(hex(c) for c in counts), "True"]
 
     def test_cactus_chains(self):
         rng = random.Random(17)
@@ -451,6 +484,37 @@ class TestTauFamilies:
             label = list(range(g.n_vertices))
             rng.shuffle(label)
             assert tau(relabel(g, label)) == prod(lengths) * prod(bridges)
+
+    def test_chains_finish_in_dicts(self, monkeypatch):
+        """Cycles, paths, flowers, witnesses and cactus chains under shuffled
+        labels give their closed forms with `_finish` made to raise: every
+        pivot row holds at most three entries, so the dict stage finishes
+        them and returns its last pivot.  Each has at least 14 vertices and
+        a row of at most three entries, so none is dense from the start."""
+
+        def unused(*args):
+            raise AssertionError("_finish called")
+
+        monkeypatch.setattr(spanning, "_finish", unused)
+        rng = random.Random(19)
+        primes = [p for p in range(3, 60, 2) if is_prime(p)]
+        for _ in range(10):
+            n = rng.randint(14, 120)
+            lengths = [rng.randint(3, 15) for _ in range(rng.randint(1, 8))]
+            bridges = [rng.randint(1, 4) for _ in lengths[1:]]
+            parts = sorted(rng.choices(primes, k=rng.randint(1, 6)))
+            cases = [
+                (cycle(n), n),
+                (path(n), 1),
+                (flower(lengths + [14]), prod(lengths) * 14),
+                (build_witness(Partition(tuple(parts)), sum(parts) + 14).graph, prod(parts)),
+                (cactus_chain(lengths + [14], bridges + [1]), prod(lengths) * 14 * prod(bridges)),
+            ]
+            for g, expected in cases:
+                assert g.n_vertices >= 14
+                label = list(range(g.n_vertices))
+                rng.shuffle(label)
+                assert tau(relabel(g, label)) == expected
 
     def test_all_threes_witness(self):
         w = build_witness(Partition((3,) * 160), 480)
@@ -484,41 +548,33 @@ def deficient(rng: random.Random, n: int, t: int) -> Graph:
 class TestNearComplete:
     """Graphs whose every vertex has at least n - 3 pairs at the top
     multiplicity, counted through Temperley's identity: neither the struck
-    Laplacian nor the modular finish is ever used on them."""
+    Laplacian nor a dense finish is ever used on them, since every pivot
+    row of their matrix holds at most three entries."""
 
     @staticmethod
     def unused(*args):
-        raise AssertionError("the struck Laplacian or the modular finish was used")
+        raise AssertionError("the struck Laplacian or a dense finish was used")
 
     @pytest.fixture()
     def temperley_only(self, monkeypatch):
-        for name in ("_struck_laplacian", "_det_mod"):
+        for name in ("_struck_laplacian", "_finish"):
             monkeypatch.setattr(spanning, name, self.unused)
 
     def test_cayley(self, temperley_only):
         for n in (*range(2, 60), 150, 300):
             assert tau(complete(n)) == n ** (n - 2)
 
-    def test_uniform(self, monkeypatch, temperley_only):
+    def test_uniform(self, temperley_only):
         """m^(n-1) * n^(n-2), with multiplicities on both sides of 2^62 // n
-        and past 2^62, where the columns hold Python ints.  K_4's rows pass
-        the dense test at once, so its whole matrix, of diagonal 4m, is
-        handed over as int64 below 2^62 // 4 and as Python ints from there."""
-        dtypes = []
-
-        def spy(mat, prev):
-            dtypes.append(mat.dtype)
-            return finish(mat, prev)
-
-        finish = spanning._finish
-        monkeypatch.setattr(spanning, "_finish", spy)
+        and past 2^62, where the columns hold Python ints.  The matrix is
+        diagonal, so every pivot row holds one entry and none reaches
+        `_finish`, even where the rows are few enough to pass the dense
+        test (the hand-off's int64 bound is checked in
+        `test_dense_core_with_attachments`)."""
         for n in (2, 3, 4, 7, 30, 90):
             for m in (2, 3, 2**62 // n - 1, 2**62 // n, 2**62 // n + 1, 2**63, 2**70):
                 g = Graph(n, tuple((u, v, m) for u, v in combinations(range(n), 2)))
-                dtypes.clear()
                 assert tau(g) == m ** (n - 1) * n ** (n - 2)
-                if n == 4:
-                    assert dtypes == [np.int64 if m < 2**62 // n else object]
 
     def test_complete_less_an_edge(self, temperley_only):
         for n in (*range(3, 41), 200):
@@ -537,7 +593,7 @@ class TestNearComplete:
         g = deficient(random.Random(seed), n, t)
         expected = dense_tau(g)
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("_struck_laplacian", "_det_mod"):
+            for name in ("_struck_laplacian", "_finish"):
                 patch.setattr(spanning, name, self.unused)
             assert tau(g) == expected
 
