@@ -5,31 +5,20 @@ carrying an integer multiplicity >= 1; self-loops are rejected outright
 because a loop can never lie on a spanning tree.  A graph is never changed
 after it is built, so instances can be shared freely between threads.
 
-A graph stores its edges as three read-only numpy columns, endpoints
-``u < v`` and multiplicity ``m``, one entry per vertex pair, sorted by
-pair; int64 until a value reaches 2^62, Python ints from there on.  The
-property ``edges`` builds the tuple of ``(u, v, m)`` triples on access for
-callers; the package itself reads the columns.
-
 Multiplicities are the edge-list format's third column, and τ counts each
 parallel copy as its own edge (a doubled edge has two spanning trees).  All
 the named constructors (`cycle`, `path`, `complete`) emit simple graphs.
 
-Public ``Graph(...)`` and the line loop of `parse_edge_list` check and merge
-every edge through one `_add_edge`: it refuses a self-loop, an endpoint
-outside 0..n-1 and a multiplicity below 1, and sums multiplicities on the
-integer pair key u * n + v, which `_columns` sorts into the columns.  Code
-that holds canonical columns skips that through `_graph`, called only by
-`complete` (from ``np.triu_indices``), the two edge-list parsers and
-`_cactus`; the last lays out every other graph built here, rings glued at
-vertex 0 and a path on from it: `cycle`, `path`, flowers and witnesses.  An
-edge list of plain digits, spaces and newlines is parsed in bulk by numpy
-instead, which reads every token with one ``np.fromstring``, sorts the keys
-and, when a pair repeats, sums each run of equal keys: the vectorised image
-of the same check and merge, which the tests compare with the line loop,
-and its sorted columns are the graph's.  Either way the result equals what
-``Graph(...)`` would make of the same edges, so equality and hashing are
-unaffected.
+Public ``Graph(...)`` checks and merges every edge through one `_add_edge`:
+it refuses a self-loop, an endpoint outside 0..n-1 and a multiplicity below
+1, and sums multiplicities on the integer pair key u * n + v, whose
+sorted keys give the columns.  `parse_edge_list` makes the same checks
+and merge on numpy arrays, explaining a failing line through `_add_edge`.
+Code that holds canonical columns skips them through `_graph`, called by
+the parser, `complete` (from ``np.triu_indices``) and `_cactus`, which lays
+out every other graph built here, rings glued at vertex 0 and a path on
+from it: `cycle`, `path`, flowers and witnesses.  Every graph equals what
+``Graph(...)`` would make of the same edges, so equality and hashing agree.
 """
 
 from __future__ import annotations
@@ -85,7 +74,7 @@ class Graph:
             raise ValueError(f"vertex count {n_vertices!r} is not an integer") from None
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        merged: dict[int, int] = {}
+        merged: dict[int, int] = {}  # multiplicities by pair key
         for entry in edges:
             if len(entry) == 2:
                 u, v = entry
@@ -101,7 +90,9 @@ class Graph:
                     f"edge entry {entry!r} has a non-integer endpoint or multiplicity"
                 ) from None
             _add_edge(merged, n, u, v, m)
-        return _graph(n, *_columns(n, merged))
+        keys = sorted(merged)  # sorted as the pairs are
+        columns = ([k // n for k in keys], [k % n for k in keys], [merged[k] for k in keys])
+        return _graph(n, *map(_column, columns))
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -168,12 +159,9 @@ def _add_edge(merged: dict[int, int], n: int, u: int, v: int, m: int) -> None:
     merged[key] = merged.get(key, 0) + m
 
 
-def _columns(n: int, merged: dict[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical columns ``u, v, m`` from multiplicities keyed by ``u * n +
-    v``, ``u < v < n``; the keys sort as the pairs do."""
-    keys = sorted(merged)
-    columns = ([k // n for k in keys], [k % n for k in keys], [merged[k] for k in keys])
-    return tuple(np.array(c, np.int64 if max(c, default=0) < 1 << 62 else object) for c in columns)
+def _column(values: list[int]) -> np.ndarray:
+    """A column of ``values``: int64 unless one reaches 2^62, else Python ints."""
+    return np.array(values, np.int64 if max(values, default=0) < 1 << 62 else object)
 
 
 def cycle(length: int) -> Graph:
@@ -271,53 +259,41 @@ def read_text_bounded(path: str | Path, limit: int) -> str:
         raise ValueError(f"{path}: not UTF-8 ({exc})") from None
 
 
+# the edge-list grammar: the blank and comment lines before the header, a
+# comment line, and the rest of a line from a byte no edge line may hold
+_SKIPPED = re.compile(rb"(?:[ \t]*(?:#.*)?\r?\n)*")
+_COMMENT = re.compile(rb"^[ \t]*#.*", re.M)
+_OTHER = re.compile(rb"[^0-9 \n].*")
+_SATURATED = (1 << 63) - 1  # what np.fromstring reads for a token past int64
+
+
 def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format.
+    """Parse the edge-list text format; `EdgeListError` names the first
+    line that breaks it or is no edge on n vertices.
 
-    Lines starting with ``#`` and blank lines are skipped.  The first
-    meaningful line must be ``n <vertex_count>``; the rest are ``u v`` or
-    ``u v multiplicity``.  Raises `EdgeListError` carrying the offending
-    line number.
-
-    Text whose first line is the header and whose other characters are
-    ASCII digits, spaces and newlines is parsed in bulk by numpy.  Any
-    other text, and any text the bulk parse cannot accept whole, is parsed
-    line by line from the top, which alone reports errors.
+    The first line that is not blank or a comment is ``n <vertex_count>``,
+    every later one ``u v`` or ``u v multiplicity`` in ASCII digits.
+    Fields are separated by spaces or tabs, lines end in ``\\n`` or
+    ``\\r\\n``, and a comment is a line whose first non-blank character is
+    ``#``.  The body is read in blocks of whole lines of about 256 KiB, so
+    that the per-token arrays stay a few MB at any length.
     """
-    g = _parse_bulk(text)
-    return g if g is not None else _parse_lines(text)
-
-
-def _parse_bulk(text: str) -> Graph | None:
-    """The graph of a plain edge list, or None to leave the text to
-    `_parse_lines`: when it holds anything but digits, spaces and newlines
-    after its header line, or fails a line's check."""
-    start = text.find("\n") + 1
-    if not start or not text.isascii():
-        return None
-    # only spaces besides "n" and the count, as the line loop splits lines at
-    # other whitespace (\v, \f, \x1c...); 18 digits stay below 2^63
-    head = re.fullmatch(r" *n +([0-9]{1,18}) *", text[: start - 1])
-    if head is None:
-        return None
-    n = int(head[1])
-    body = text.encode("ascii")[start:]
-    # n < 2^31 keeps the pair keys below n^2 < 2^62
-    if n >= 1 << 31 or body.translate(None, b"0123456789 \n"):
-        return None
+    data = text.encode("utf-8", "surrogatepass")
+    lo = _SKIPPED.match(data).end()
+    n = _line(data, lo, None, data.count(b"\n", 0, lo) + 1)
+    lo = data.find(b"\n", lo) + 1 or len(data)
     blocks = []
-    lo = 0
-    # in blocks of whole lines of about 256 KiB, so that the per-token int64
-    # arrays stay a few MB at any length; once for an empty body
-    while lo < len(body) or not blocks:
-        hi = body.find(b"\n", lo + (1 << 18)) + 1 or len(body)
-        blocks.append(_parse_block(body[lo:hi], n))
-        if blocks[-1] is None:
-            return None
+    while lo < len(data) or not blocks:  # once for an empty body
+        hi = data.find(b"\n", lo + (1 << 18)) + 1 or len(data)
+        blocks.append(_parse_block(data, lo, hi, n))
         lo = hi
-    u, v, m = blocks[0] if len(blocks) == 1 else (np.concatenate(column) for column in zip(*blocks))
-    if len(m) and int(m.max()) * len(m) >= 1 << 62:  # the int64 sums could wrap
-        return None
+    u, v, m, top = zip(*blocks)
+    u, v, m = (c[0] if len(c) == 1 else np.concatenate(c) for c in (u, v, m))
+    # Python ints where a token, a pair key or a sum could pass int64;
+    # n < 2^31 keeps the pair keys below n^2 < 2^62
+    wide = u.dtype == object or n >= 1 << 31 or max(top) * len(m) >= 1 << 62
+    if wide:
+        u, v, m = (c.astype(object) for c in (u, v, m))
     # the default sort kind: on 3,000 keys below 90^2 it takes 35 us against
     # the stable kind's 138, for 256 KiB of resident code pages against 128
     # (the RssFile step of /proc/self/status on its first call, numpy 2.4)
@@ -330,17 +306,28 @@ def _parse_bulk(text: str) -> Graph | None:
         order = order[runs]
     else:
         m = m[order]
-    return _graph(n, u[order], v[order], m)
+    columns = u[order], v[order], m
+    return _graph(n, *(map(_column, (c.tolist() for c in columns)) if wide else columns))
 
 
-def _parse_block(block: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The edges ``u < v`` with multiplicity ``m`` on the lines of ``block``,
-    whole lines of digits, spaces and newlines, as arrays ``u, v, m``; None
-    when a line is not a valid edge on ``n`` vertices."""
-    # the body holds no sign, so a -1 ends each line; a token past int64
-    # reads as 2^63 - 1 (strtoll saturates), which the range and sum
-    # checks refuse
-    tokens = np.fromstring(block.replace(b"\n", b" -1 ") + b" -1", dtype=np.int64, sep=" ")
+def _parse_block(data: bytes, lo: int, hi: int, n: int) -> tuple:
+    """The edges ``u < v`` with multiplicity ``m`` on the whole lines
+    ``data[lo:hi]`` of an edge-list body, as arrays ``u, v, m``, and the
+    largest ``m``.  A block that fails a check by reduction is checked by
+    masks, and `_line` reads each line they flag again: it raises the
+    first faulty line's `EdgeListError` and reads tokens past int64."""
+    block = data[lo:hi]
+    # other text is made digits, spaces and newlines; the rest of a line from
+    # a byte that cannot be becomes four tokens, more than an edge line has
+    if block.translate(None, b"0123456789 \n"):
+        block = block.replace(b"\t", b" ").replace(b"\r\n", b"\n")
+        if b"#" in block:
+            block = _COMMENT.sub(b"", block)
+        if block.translate(None, b"0123456789 \n"):
+            block = _OTHER.sub(b" 0 0 0 0 ", block)
+    # the body holds no sign, so a -1 ends each line; one more keeps
+    # first + 2 inside the tokens when the last line holds one
+    tokens = np.fromstring(block.replace(b"\n", b" -1 ") + b" -1 -1", dtype=np.int64, sep=" ")
     ends = np.flatnonzero(tokens < 0)
     count = ends.copy()  # each line's tokens: its end less the line before's, less 1
     count[1:] -= ends[:-1] + 1
@@ -348,48 +335,58 @@ def _parse_block(block: bytes, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     first = (ends - count)[kept]
     count = count[kept]
     if not len(first):
-        return first, first, first
-    if count.min() < 2 or count.max() > 3:
-        return None
+        return first, first, first, 0
     u, v = tokens[first], tokens[first + 1]
     m = np.where(count == 3, tokens[first + 2], 1)
     u, v = np.minimum(u, v), np.maximum(u, v)
-    # a self-loop leaves v - u = 0
-    if v.max() >= n or (v - u).min() < 1 or m.min() < 1:
-        return None
-    return u, v, m
+    top = m.max()
+    # a self-loop leaves v - u = 0; a token past int64 reads as 2^63 - 1
+    ok = count.min() >= 2 and count.max() <= 3 and v.max() < min(n, _SATURATED)
+    if ok and (v - u).min() > 0 and m.min() > 0 and top < _SATURATED:
+        return u, v, m, int(top)
+    bad = (count < 2) | (count > 3) | (u == v) | (v >= min(n, _SATURATED))
+    bad |= (m < 1) | (m == _SATURATED)
+    flagged = np.flatnonzero(bad).tolist()
+    u, v, m = (c.astype(object) for c in (u, v, m))
+    starts = np.flatnonzero(np.frombuffer(data, np.uint8, hi - lo, lo) == 10) + lo + 1
+    starts, line_no = [lo, *starts.tolist()], data.count(b"\n", 0, lo) + 1
+    for line, k in zip(np.flatnonzero(kept)[flagged].tolist(), flagged):
+        u[k], v[k], m[k] = _line(data, starts[line], n, line_no + line)
+    return u, v, m, max(m.tolist())
 
 
-def _parse_lines(text: str) -> Graph:
-    """`parse_edge_list` one line at a time, with its line-numbered errors."""
-    n_vertices: int | None = None
-    merged: dict[int, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
+def _line(data: bytes, start: int, n: int | None, line_no: int) -> int | tuple[int, int, int]:
+    """Edge-list line ``line_no``, from ``data[start]``, read exactly: the
+    header's vertex count when ``n`` is None, else the edge ``(u, v, m)``,
+    ``u < v``, on ``n`` vertices; `EdgeListError` if it is neither."""
+    end = data.find(b"\n", start)
+    line = data[start:] if end < 0 else data[start:end].removesuffix(b"\r")
+    line = line.decode("utf-8", "surrogatepass").strip(" \t")
+    tokens = [t for t in line.replace("\t", " ").split(" ") if t]
+    if n is None:
         if not tokens or tokens[0][0] == "#":
-            continue
-        if n_vertices is None:
-            if len(tokens) != 2 or tokens[0] != "n":
-                raise EdgeListError(line_no, f"expected 'n <vertex_count>', got {raw.strip()!r}")
-            try:
-                n_vertices = int(tokens[1])
-            except ValueError:
-                raise EdgeListError(line_no, f"bad vertex count {tokens[1]!r}") from None
-            if n_vertices < 0:
-                raise EdgeListError(line_no, "vertex count must be nonnegative")
-            continue
-        if len(tokens) == 2:
-            tokens.append("1")
-        elif len(tokens) != 3:
-            raise EdgeListError(line_no, f"expected 'u v [multiplicity]', got {raw.strip()!r}")
-        try:
-            u, v, m = map(int, tokens)
-        except ValueError:
-            raise EdgeListError(line_no, f"non-integer token in {raw.strip()!r}") from None
-        try:
-            _add_edge(merged, n_vertices, u, v, m)
-        except ValueError as exc:
-            raise EdgeListError(line_no, str(exc)) from None
-    if n_vertices is None:
-        raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")
-    return _graph(n_vertices, *_columns(n_vertices, merged))
+            raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")
+        if len(tokens) != 2 or tokens[0] != "n":
+            raise EdgeListError(line_no, f"expected 'n <vertex_count>', got {line!r}")
+        if (count := _ascii_int(tokens[1])) is None:
+            raise EdgeListError(line_no, f"bad vertex count {tokens[1]!r}")
+        return count
+    if len(tokens) not in (2, 3):
+        raise EdgeListError(line_no, f"expected 'u v [multiplicity]', got {line!r}")
+    u, v, m = map(_ascii_int, (*tokens, "1")[:3])
+    if None in (u, v, m):
+        raise EdgeListError(line_no, f"non-integer token in {line!r}")
+    try:
+        _add_edge({}, n, u, v, m)
+    except ValueError as exc:
+        raise EdgeListError(line_no, str(exc)) from None
+    return min(u, v), max(u, v), m
+
+
+def _ascii_int(token: str) -> int | None:
+    """The value of a token of ASCII digits; None for any other token, or
+    one past int()'s digit limit."""
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:
+        return None

@@ -130,7 +130,7 @@ __all__ = ["tau"]
 _Rows = list[dict[int, int | tuple[int, int]] | None]
 # `tau` eliminates dense lists, not dicts, once the next pivot row has four
 # entries or more and a nonzero in at least 1/_DENSE_SHARE of the active
-# columns
+# columns: from the start if its smallest row passes, else in `_eliminate`
 _DENSE_SHARE = 4
 # dense blocks with fewer rows are finished by `_bareiss`, larger ones
 # modulo primes.  They cross at 18 rows: on K_(k+1) and 5 multigraphs
@@ -352,11 +352,11 @@ def tau(g: Graph) -> int:
     index gives the same value, and striking the hub of a star, wheel,
     flower or K_(2,n) leaves rows that stay small.  The row sizes, 1 plus
     the pairs at the vertex, less one next to h, are counted once, from
-    the edge columns, and seed the heap.  A graph that passes the dense
-    test on them goes to `_finish` without building dicts: its struck
-    Laplacian is one array built from the columns, and no other graph
-    builds it, so a sparse graph such as a long cycle allocates nothing of
-    size n^2.
+    the edge columns, and seed the heap.  A graph whose smallest row passes
+    the dense test of `_eliminate` goes to `_finish` without building
+    dicts: its struck Laplacian is one array built from the columns, and
+    no other graph builds it, so a sparse graph such as a long cycle
+    allocates nothing of size n^2.
     """
     n = g.n_vertices
     if n <= 1:
@@ -378,7 +378,8 @@ def tau(g: Graph) -> int:
     size[g.v[g.u == h]] -= 1
     # size[h], 1 plus the most pairs, is at least every other size, so the
     # minimum is that of a row the struck Laplacian keeps
-    if _DENSE_SHARE * size.min() >= n - 1:
+    smallest = int(size.min())
+    if smallest > 3 and _DENSE_SHARE * smallest >= n - 1:
         return _finish(_struck_laplacian(g, h), 1)
 
     rows: _Rows = [{v: 0} for v in range(n)]

@@ -12,8 +12,10 @@ extensions' counts are one ``tau`` of one ``Graph`` each instead of a
 subset tree over L_G, an atlas file's values are checked one value at a
 time in Python instead of by whole-list passes in C, a graph's exact
 canonical code is its least code over all k! relabellings instead of one
-colour-refinement relabelling, connectivity is a breadth-first search
-(the check on the brute force's union-find), a graph's canonical edges
+colour-refinement relabelling, an edge list is read one line at a time
+by splitting strings instead of by numpy over blocks of bytes,
+connectivity is a breadth-first search (the check on the brute force's
+union-find), a graph's canonical edges
 are merged on sorted pairs instead of on integer keys into numpy
 columns, unrestricted partition counts are the one-part-at-a-time
 dynamic program instead of Euler's pentagonal recurrence, partitions are
@@ -32,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from spantree import HARD_CAP, AtlasRecord, Graph, PartClass, Partition, tau
+from spantree import HARD_CAP, AtlasRecord, EdgeListError, Graph, PartClass, Partition, tau
 
 # p(0)..p(10), then two classics, all long-published table values
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
@@ -182,6 +184,59 @@ def canonical(edges: Iterable[tuple[int, ...]]) -> tuple[tuple[int, int, int], .
         pair = (min(u, v), max(u, v))
         merged[pair] = merged.get(pair, 0) + (m[0] if m else 1)
     return tuple((u, v, m) for (u, v), m in sorted(merged.items()))
+
+
+def parse_edge_list_loop(text: str) -> Graph:
+    """The edge-list grammar read one line at a time: the graph of ``text``,
+    or the `EdgeListError` of its first line that breaks the grammar or is
+    no edge.
+
+    Lines are split at ``\\n``, a ``\\r`` before the ``\\n`` belonging to the
+    line end, and fields at spaces and tabs.  A line of no fields, or whose
+    first field starts with ``#``, is skipped; the first other line is
+    ``n <count>`` and every later one two or three fields, all ASCII
+    digits.  ``Graph(...)`` checks each edge and merges them all.
+    """
+    lines = text.split("\n")
+    n = None
+    edges = []
+    for line_no, raw in enumerate(lines, start=1):
+        if line_no < len(lines):
+            raw = raw.removesuffix("\r")
+        shown = raw.strip(" \t")
+        fields = [f for f in raw.replace("\t", " ").split(" ") if f]
+        if not fields or fields[0][0] == "#":
+            continue
+        if n is None:
+            if len(fields) != 2 or fields[0] != "n":
+                raise EdgeListError(line_no, f"expected 'n <vertex_count>', got {shown!r}")
+            try:
+                n = _ascii_int(fields[1])
+            except ValueError:
+                raise EdgeListError(line_no, f"bad vertex count {fields[1]!r}") from None
+            continue
+        if len(fields) not in (2, 3):
+            raise EdgeListError(line_no, f"expected 'u v [multiplicity]', got {shown!r}")
+        try:
+            edge = tuple(map(_ascii_int, fields))
+        except ValueError:
+            raise EdgeListError(line_no, f"non-integer token in {shown!r}") from None
+        try:
+            Graph(n, (edge,))
+        except ValueError as exc:
+            raise EdgeListError(line_no, str(exc)) from None
+        edges.append(edge)
+    if n is None:
+        raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")
+    return Graph(n, edges)
+
+
+def _ascii_int(field: str) -> int:
+    """The value of a field of ASCII digits; ValueError for any other field,
+    or one past int()'s digit limit."""
+    if not all("0" <= c <= "9" for c in field):
+        raise ValueError(f"not ASCII digits: {field!r}")
+    return int(field)
 
 
 def connects(n: int, pairs: Iterable[tuple[int, int]]) -> bool:

@@ -951,6 +951,19 @@ class TestModularFinish:
         monkeypatch.setattr(spanning, "_struck_laplacian", self.no_array)
         assert tau(cycle(2000)) == 2000 and tau(path(2000)) == 1
 
+    def test_small_sparse_graphs_stay_in_dicts(self, monkeypatch):
+        """A smallest row of at most three entries keeps a graph in the dict
+        rows however few its vertices, where a quarter of n - 1 rows would
+        pass: cycles and paths of up to 13 vertices, and K_4 with a pair
+        doubled, whose rows hold three entries each."""
+        doubled = Graph(4, complete(4).edges + ((0, 1),))
+        want = dense_tau(doubled)
+        monkeypatch.setattr(spanning, "_struck_laplacian", self.no_array)
+        monkeypatch.setattr(spanning, "_finish", self.no_array)
+        for k in range(3, 14):
+            assert tau(cycle(k)) == k and tau(path(k)) == 1
+        assert tau(doubled) == want == 24
+
     def test_pendant_builds_no_array(self, monkeypatch):
         """K_50 has edges enough for a dense start, but a pendant vertex's
         row of two entries fails the test, so no 50 x 50 array is built:
@@ -971,9 +984,11 @@ class TestModularFinish:
     def test_array_built_iff_rows_pass(self, core, density, pendants, isolated, hub, seed):
         """`tau` builds the struck Laplacian exactly when the graph is not
         near-complete and its smallest dict row, counted here from the
-        edges with the busiest vertex struck, passes the dense test, on
-        dense cores with pair (0, 1) doubled, pendant and isolated vertices
-        and extra neighbours of vertex 0, under shuffled labels."""
+        edges with the busiest vertex struck, passes `_eliminate`'s dense
+        test: four entries or more, and a nonzero in at least
+        1/_DENSE_SHARE of the n - 1 columns.  On dense cores with pair
+        (0, 1) doubled, pendant and isolated vertices and extra neighbours
+        of vertex 0, under shuffled labels."""
         rng = random.Random(seed)
         n = core + pendants + isolated
         edges = [(0, 1)] * 2
@@ -999,7 +1014,8 @@ class TestModularFinish:
             assert tau(g) == dense_tau(g)
         top = max(m for *_, m in g.edges)
         near = all(sum(m == top for u, v, m in g.edges if x in (u, v)) >= n - 3 for x in range(n))
-        assert built == ([h] if not near and spanning._DENSE_SHARE * smallest >= n - 1 else [])
+        dense = smallest > 3 and spanning._DENSE_SHARE * smallest >= n - 1
+        assert built == ([h] if dense and not near else [])
 
     def test_int64_bound(self):
         """A residue, or a raw entry inside ±2^62, less a sum of

@@ -33,6 +33,7 @@ from oracles import (
     identify,
     is_connected,
     multiplicity,
+    parse_edge_list_loop,
     random_multigraph,
 )
 
@@ -276,14 +277,15 @@ class TestEdgeListFormat:
         [
             ("# c\n  x 3 \n", "line 2: expected 'n <vertex_count>', got 'x 3'"),
             ("n three\n", "line 1: bad vertex count 'three'"),
-            ("n -1\n", "line 1: vertex count must be nonnegative"),
+            ("n -1\n", "line 1: bad vertex count '-1'"),
+            ("n +5\n", "line 1: bad vertex count '+5'"),
             ("n 3\n 0 1 1 1 \n", "line 2: expected 'u v [multiplicity]', got '0 1 1 1'"),
             ("n 3\n0 x\n", "line 2: non-integer token in '0 x'"),
             ("n 3\n\t0 #1\n", "line 2: non-integer token in '0 #1'"),
             ("n 3\n0 1 2.5\n", "line 2: non-integer token in '0 1 2.5'"),
             ("n 3\n  1 1  \n", "line 2: self-loop at vertex 1"),
             ("n 3\n0 3\n", "line 2: edge (0, 3) outside vertex range"),
-            ("n 3\n-1 2\n", "line 2: edge (-1, 2) outside vertex range"),
+            ("n 3\n-1 2\n", "line 2: non-integer token in '-1 2'"),
             ("n 3\n0 1 0\n", "line 2: multiplicity 0 must be >= 1"),
             ("", "line 1: empty input: missing 'n <vertex_count>' line"),
             ("# only\n\n", "line 1: empty input: missing 'n <vertex_count>' line"),
@@ -296,7 +298,8 @@ class TestEdgeListFormat:
 
 
 # one faulty edge entry on 3 vertices, and the one message that both
-# Graph(...) and parse_edge_list (after its "line k: ") give for it
+# Graph(...) and parse_edge_list (after its "line k: ") give for it; a
+# negative token is no ASCII digits, which the parser refuses first
 _EDGE_FAULTS = [
     ((1, 1), "self-loop at vertex 1"),
     ((0, 3), "edge (0, 3) outside vertex range"),
@@ -313,8 +316,11 @@ def test_edge_fault_has_one_message(entry, message):
     with pytest.raises(ValueError) as exc_info:
         Graph(3, (entry,))
     assert str(exc_info.value) == message
-    text = "n 3\n" + " ".join(map(str, entry)) + "\n"
-    # plain, and padded into a block of the bulk parser as TestEdgeListFormatBulk does
+    line = " ".join(map(str, entry))
+    if min(entry) < 0:
+        message = f"non-integer token in {line!r}"
+    text = f"n 3\n{line}\n"
+    # plain, and padded into a block of its own as TestEdgeListFormatBulk does
     for form in (text, text.replace("\n", " " * (1 << 18) + "\n")):
         with pytest.raises(EdgeListError) as exc_info:
             parse_edge_list(form)
@@ -323,7 +329,7 @@ def test_edge_fault_has_one_message(entry, message):
 
 class TestEdgeListFormatBulk(TestEdgeListFormat):
     """The edge-list cases again, with every line padded by trailing spaces
-    into a 256 KiB block of the bulk parser of its own.  The padding changes
+    into a 256 KiB block of the parser of its own.  The padding changes
     neither a graph nor an error message, which strips its line."""
 
     @staticmethod
@@ -331,8 +337,8 @@ class TestEdgeListFormatBulk(TestEdgeListFormat):
         return parse_edge_list(text.replace("\n", " " * (1 << 18) + "\n"))
 
 
-# one-line edits that leave the bulk parser or change what a line means:
-# lines it must hand to the loop whole, and lines the loop rejects
+# one-line edits that leave plain text or change what a line means: lines
+# the grammar keeps, and lines it refuses
 _EDITS = {
     "comment": lambda s: "# " + s,
     "crlf": lambda s: s + "\r",
@@ -359,8 +365,13 @@ _HEADERS = (
 )
 
 
+# edits that the grammar refuses, which int() or str.split() would take
+_REFUSED = ("plus", "underscore", "arabic-indic digit", "vertical tab", "line separator",
+            "carriage return")
+
+
 class TestBulkParse:
-    """The bulk parser against the line loop."""
+    """`parse_edge_list` against the reference loop of the grammar."""
 
     @staticmethod
     def check_as_loop(n, seed, header, edits):
@@ -375,9 +386,10 @@ class TestBulkParse:
             lines[i] = _EDITS[name](lines[i])
         text = header.format(n=n) + "\n" + "\n".join(lines) + "\n"
         got = outcome(parse_edge_list, text)
-        assert got == outcome(graphs._parse_lines, text)
+        assert got == outcome(parse_edge_list_loop, text)
         if isinstance(got, Graph):
             assert {type(x) for edge in got.edges for x in edge} <= {int}
+            check_columns(got)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -395,60 +407,166 @@ class TestBulkParse:
     def test_each_edit_parses_as_the_loop_does(self, edit):
         self.check_as_loop(90, 1, "n {n}", [(0, edit), (75, edit), (149, edit)])
 
+    @pytest.mark.parametrize("edit", _REFUSED)
+    def test_edit_outside_the_grammar_is_refused(self, edit):
+        """An edge that int() and str.split() would read as (10, 21, 3),
+        or (10, 121, 3), is a non-integer token."""
+        line = _EDITS[edit]("10 21 3")
+        text = f"n 200\n0 1\n{line}\n1 2\n"
+        assert outcome(parse_edge_list, text) == (f"line 3: non-integer token in {line!r}", 3)
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("n 3\n0 1\r", 2),  # a \r that no \n follows is no line end
+        ("n 3\r", 1),
+        ("n 3\n0 1\r\r\n", 2),
+        ("n 3\n\r# c\n", 2),  # a comment's # comes first on its line
+        ("\r\nn 3\n0 1 # note\n", 3),
+        ("n 3\n0 1\n1 1\n1 +2\n", 3),  # the first faulty line, not the first refused byte
+    ])
+    def test_line_ends_and_comments(self, text, line_no):
+        assert outcome(parse_edge_list, text) == outcome(parse_edge_list_loop, text)
+        assert outcome(parse_edge_list, text)[1] == line_no
+
+    def test_grammar_forms_parse_alike(self):
+        g = random_multigraph(random.Random(5), max_vertices=30, max_edges=200)
+        text = format_edge_list(g)
+        forms = [
+            text.replace("\n", "\r\n"),
+            text.replace(" ", "\t"),
+            "# \u00e9\u2028\r\n \t\n" + text.replace("\n", "\n\t# c\n \n"),
+            text.rstrip("\n"),
+        ]
+        for form in forms:
+            assert parse_edge_list(form) == g == parse_edge_list_loop(form)
+
     def test_sum_past_2_63(self):
         text = "n 2\n" + "0 1 999999999999999999\n" * 40
         assert parse_edge_list(text).edges == ((0, 1, 40 * (10**18 - 1)),)
+        assert parse_edge_list(text) == parse_edge_list_loop(text)
 
-    def test_plain_body_takes_the_bulk_path(self):
+    def test_plain_body_takes_the_bulk_path(self, monkeypatch):
+        """A plain body passes the block's reductions, so `_line` reads
+        only the header, and a body that fails one is read again only at
+        the line its masks flag."""
         g = random_multigraph(random.Random(3), max_vertices=40, max_edges=400)
         text = format_edge_list(g)
-        assert graphs._parse_bulk(text) == g
-        assert graphs._parse_bulk(text.rstrip("\n")) == g  # no final newline
+        read = []
+
+        def line(data, start, n, line_no):
+            read.append(line_no)
+            return real(data, start, n, line_no)
+
+        real = graphs._line
+        monkeypatch.setattr(graphs, "_line", line)
+        assert parse_edge_list(text) == g
+        assert parse_edge_list(text.rstrip("\n")) == g  # no final newline
+        check_columns(parse_edge_list(text))
+        assert read == [1, 1, 1]
+        read.clear()
+        assert outcome(parse_edge_list, "# c\nn 3\n0 1\n\n1 2 3\n2 2\n") == (
+            "line 6: self-loop at vertex 2", 6)
+        assert parse_edge_list(f"n 3\n0 1\n1 2 {2**64}\n") == Graph(3, ((0, 1), (1, 2, 2**64)))
+        assert read == [2, 6, 1, 3]
 
     def test_short_bodies_take_the_bulk_path(self):
-        assert graphs._parse_bulk("n 3\n0 1\n1 2\n") == path(3)
-        assert graphs._parse_bulk("n 3\n\n  \n\n") == Graph(3)
+        for text, g in (("n 3\n0 1\n1 2\n", path(3)), ("n 3\n\n  \n\n", Graph(3))):
+            assert parse_edge_list(text) == g == parse_edge_list_loop(text)
 
     def test_token_past_int64_goes_to_the_loop(self):
-        # strtoll saturates at 2^63 - 1, which the sum and range checks refuse
+        """A token past int64 reads as 2^63 - 1 (strtoll saturates); the
+        exact value is read again, into object columns, and checked as the
+        loop checks it."""
         text = "n 2\n0 1 18446744073709551617\n"
-        assert graphs._parse_bulk(text) is None
         assert parse_edge_list(text).edges == ((0, 1, 2**64 + 1),)
-        text = "n 2\n0 18446744073709551617\n"
-        assert graphs._parse_bulk(text) is None
-        with pytest.raises(EdgeListError) as exc_info:
-            parse_edge_list(text)
-        assert str(exc_info.value) == "line 2: edge (0, 18446744073709551617) outside vertex range"
+        assert parse_edge_list(text) == parse_edge_list_loop(text)
+        for text, message in (
+            ("n 2\n0 18446744073709551617\n", "edge (0, 18446744073709551617) outside vertex range"),
+            (f"n {2**70}\n{2**64} {2**64}\n", f"self-loop at vertex {2**64}"),
+            ("n 3\n0 1 " + "1" * 4301 + "\n", "non-integer token in '0 1 " + "1" * 4301 + "'"),
+        ):
+            assert outcome(parse_edge_list, text) == (f"line 2: {message}", 2)
+            assert outcome(parse_edge_list_loop, text) == (f"line 2: {message}", 2)
 
     def test_blank_lines_parse_in_bounded_memory(self, capped_python):
         # the blocks keep the token arrays small: a whole-text tokenizer
         # would take about 270 MB here
         proc = capped_python("-c", (
             "import resource\n"
-            "from spantree.graphs import _parse_bulk\n"
+            "from spantree import parse_edge_list\n"
             "text = 'n 3\\n' + '\\n' * ((8 << 20) - 4)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "g = _parse_bulk(text)\n"
+            "g = parse_edge_list(text)\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "print(g.n_vertices, g.edges, after - before < 64 << 10)"  # ru_maxrss in KiB
         ))
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "3 () True\n", "")
 
+    def test_refused_bytes_parse_in_bounded_memory(self, capped_python):
+        # the rest of a line from a refused byte reads as four tokens; four
+        # tokens for each of these 4 Mi signs would take about 760 MB
+        proc = capped_python("-c", (
+            "import resource\n"
+            "from spantree import EdgeListError, parse_edge_list\n"
+            "text = 'n 3\\n0 1 ' + '+ ' * (4 << 20)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    parse_edge_list(text)\n"
+            "except EdgeListError as exc:\n"
+            "    print(exc.line_no, str(exc)[:37])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(after - before < 160 << 10)"  # ru_maxrss in KiB
+        ))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "2 line 2: expected 'u v [multiplicity]'\nTrue\n"
+
+    # 4 copies of K_670's pairs in 4 spellings: 7.9 MiB, multiplicity 1+2+3+1
+    K = 670
+    FORMS = ("{u} {v}", "{v} {u} 2", "{u}  {v} 3", " {v} {u}")
+
     def test_eight_mib_under_address_space_cap(self, capped_python, tmp_path):
-        # 4 copies of K_670's pairs in 4 spellings: 7.9 MiB, multiplicity 1+2+3+1
-        k = 670
-        forms = ("{u} {v}", "{v} {u} 2", "{u}  {v} 3", " {v} {u}")
-        lines = [f.format(u=u, v=v) for f in forms for u in range(k) for v in range(u + 1, k)]
+        k = self.K
+        lines = [f.format(u=u, v=v) for f in self.FORMS for u in range(k) for v in range(u + 1, k)]
         target = tmp_path / "big.edgelist"
         target.write_text(f"n {k}\n" + "\n".join(lines) + "\n")
         assert 7 << 20 < target.stat().st_size <= 8 << 20
         proc = capped_python("-c", (
-            "from spantree.graphs import _parse_bulk, read_text_bounded\n"
-            f"g = _parse_bulk(read_text_bounded({str(target)!r}, 8 << 20))\n"
+            "from spantree.graphs import parse_edge_list, read_text_bounded\n"
+            f"g = parse_edge_list(read_text_bounded({str(target)!r}, 8 << 20))\n"
             "print(g.n_vertices, len(g.edges), {m for *_, m in g.edges}, g.edges[-1])"
         ))
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == f"{k} {k * (k - 1) // 2} {{7}} ({k - 2}, {k - 1}, 7)\n"
+
+    def test_eight_mib_with_comments_crlf_and_tabs(self, capped_python, tmp_path):
+        """The same pairs with a comment every 100 lines, CRLF line ends and
+        tabs in every other line parse to the plain file's graph; with one
+        bad last line added the error names that line.  K_630, as the CRLFs
+        would take K_670 past 8 MiB."""
+        k = 630
+        lines = [f.format(u=u, v=v) for f in self.FORMS for u in range(k) for v in range(u + 1, k)]
+        lines = [(line.replace(" ", "\t", 1) if i % 2 else line) for i, line in enumerate(lines)]
+        for i in range(len(lines) - len(lines) % 100, 0, -100):
+            lines.insert(i, " # \u00e9")
+        text = "# K_670\r\n" + f"n {k}\r\n" + "\r\n".join(lines) + "\r\n"
+        target = tmp_path / "big.edgelist"
+        target.write_bytes(text.encode())
+        bad = tmp_path / "bad.edgelist"
+        bad.write_bytes((text + "0 x\r\n").encode())
+        assert 7 << 20 < bad.stat().st_size <= 8 << 20
+        proc = capped_python("-c", (
+            "from spantree.graphs import EdgeListError, parse_edge_list, read_text_bounded\n"
+            f"g = parse_edge_list(read_text_bounded({str(target)!r}, 8 << 20))\n"
+            "print(g.n_vertices, len(g.edges), {m for *_, m in g.edges}, g.edges[-1])\n"
+            "try:\n"
+            f"    parse_edge_list(read_text_bounded({str(bad)!r}, 8 << 20))\n"
+            "except EdgeListError as exc:\n"
+            "    print(exc)"
+        ))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (
+            f"{k} {k * (k - 1) // 2} {{7}} ({k - 2}, {k - 1}, 7)\n"
+            f"line {text.count(chr(10)) + 1}: non-integer token in '0 x'\n"
+        )
 
 
 class TestTrustedConstruction:
@@ -535,15 +653,10 @@ class TestColumns:
         check_columns(g)
         assert {type(x) for edge in g.edges for x in edge} <= {int}
         text = format_edge_list(g)
-        for parse in (parse_edge_list, graphs._parse_lines):
+        for parse in (parse_edge_list, parse_edge_list_loop):
             got = parse(text)
             assert got == g and hash(got) == hash(g)
-        bulk = graphs._parse_bulk(text)
-        if max(g.m.tolist(), default=0) * len(g.m) < 2**62:  # the bulk parser's sum bound
-            assert bulk == g and hash(bulk) == hash(g)
-            check_columns(bulk)
-        else:
-            assert bulk is None
+            check_columns(got)
         copy = pickle.loads(pickle.dumps(g))
         assert copy == g and hash(copy) == hash(g)
         check_columns(copy)
