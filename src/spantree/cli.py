@@ -220,7 +220,7 @@ def _cmd_witness(args: argparse.Namespace) -> _Output:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     rows = []
-    witnesses = []
+    witnesses = [] if args.format == "json" else None  # only JSON prints them
     for idx, w in enumerate(witness_family(args.n)):
         if out is not None:
             stem = f"witness_{args.n}_{idx}"
@@ -228,9 +228,11 @@ def _cmd_witness(args: argparse.Namespace) -> _Output:
             (out / f"{stem}.json").write_text(sidecar_json(w), encoding="utf-8")
         count, vertices, edges = str(w.tau_value), w.graph.n_vertices, w.graph.n_edges
         rows.append([str(w.partition), count, str(vertices), str(edges)])
-        witnesses.append(
-            {"parts": list(w.partition.parts), "tau": count, "vertices": vertices, "edges": edges}
-        )
+        if witnesses is not None:
+            witnesses.append(
+                {"parts": list(w.partition.parts), "tau": count, "vertices": vertices,
+                 "edges": edges}
+            )
     header = ["partition", "tau", "vertices", "edges"]
     return _Output({"n": args.n, "witnesses": witnesses}, header, rows)
 

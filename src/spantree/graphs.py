@@ -26,7 +26,7 @@ from __future__ import annotations
 import operator
 import os
 import re
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -265,6 +265,7 @@ _SKIPPED = re.compile(rb"(?:[ \t]*(?:#.*)?\r?\n)*")
 _COMMENT = re.compile(rb"^[ \t]*#.*", re.M)
 _OTHER = re.compile(rb"[^0-9 \n].*")
 _SATURATED = (1 << 63) - 1  # what np.fromstring reads for a token past int64
+_TOKEN = re.compile(r"[^ \t]+")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -362,7 +363,8 @@ def _line(data: bytes, start: int, n: int | None, line_no: int) -> int | tuple[i
     end = data.find(b"\n", start)
     line = data[start:] if end < 0 else data[start:end].removesuffix(b"\r")
     line = line.decode("utf-8", "surrogatepass").strip(" \t")
-    tokens = [t for t in line.replace("\t", " ").split(" ") if t]
+    # four tokens tell every wrong count apart, however long the line
+    tokens = [t[0] for t in islice(_TOKEN.finditer(line), 4)]
     if n is None:
         if not tokens or tokens[0][0] == "#":
             raise EdgeListError(1, "empty input: missing 'n <vertex_count>' line")

@@ -7,12 +7,25 @@ the one-part-at-a-time dynamic program, O(n * #parts).  Counts live in
 Python ints, so nothing overflows.  On top of the per-sum functions sits
 the cumulative family: all odd-prime partitions with sum at most n, which
 is what the witness construction consumes.
+
+A single prime-class count of n runs the dynamic program only over the
+parts a <= n/3.  Three parts above n/3 sum past n, so a partition of
+n holds at most two of them, and the count is the sum of the small-part
+table D at n - (sum of S) over the multisets S of at most two large parts
+whose sum is at most n.  In the table the large parts cost n - a + 1
+additions each, 36-41% of all its additions for n = 300..10^5 (odd
+primes).  Here a pair p <= q costs one addition; both lie in (n/3, 2n/3],
+so there are about (n / (3 ln n))^2 / 4 pairs: 739 at n = 1,000, 2.4
+million at 10^5, against 2.0 * 10^8 additions saved there.  The
+cumulative count takes the same sum over the prefix sums of D.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from math import isqrt
 from typing import Iterator
 
@@ -107,14 +120,39 @@ def count_partitions_up_to(n: int, part_class: PartClass) -> list[int]:
         raise ValueError("n must be nonnegative")
     if part_class is PartClass.ALL:
         return _pentagonal_table(n)
-    dp = [0] * (n + 1)
-    dp[0] = 1
-    for a in allowed_parts(n, part_class):
+    return _part_table(n, allowed_parts(n, part_class))
+
+
+def _part_table(n: int, parts: list[int]) -> list[int]:
+    """Partitions of 0..n into the given distinct parts, one pass per part."""
+    dp = [1] + [0] * n
+    for a in parts:
         # ascending m, reading entries already updated in this pass: that is
         # the unbounded recurrence, i.e. a part may repeat
         for m, below in zip(range(a, n + 1), dp):
             dp[m] += below
     return dp
+
+
+def _count_split(n: int, part_class: PartClass, cumulative: bool) -> int:
+    """Partitions of exactly ``n`` (of at most ``n`` if ``cumulative``) in a
+    prime class, with the table built over the parts <= n/3 only.
+
+    ``table[k]`` counts the partitions of k (of at most k) into small parts,
+    so each multiset S of at most two large parts with sum <= n adds
+    ``table[n - sum(S)]``; the pairs are p <= q.
+    """
+    parts = allowed_parts(n, part_class)
+    small = [a for a in parts if 3 * a <= n]
+    large = parts[len(small) :]
+    table = _part_table(n, small)
+    if cumulative:
+        table = list(accumulate(table))
+    total = table[n]
+    for i, p in enumerate(large):
+        rest = n - p
+        total += table[rest] + sum([table[rest - q] for q in large[i : bisect_right(large, rest)]])
+    return total
 
 
 def _pentagonal_table(n: int) -> list[int]:
@@ -144,8 +182,16 @@ def _pentagonal_table(n: int) -> list[int]:
 
 
 def count_partitions(n: int, part_class: PartClass) -> int:
-    """Number of partitions of exactly ``n`` with parts in the class."""
-    return count_partitions_up_to(n, part_class)[n]
+    """Number of partitions of exactly ``n`` with parts in the class.
+
+    The prime classes never build the table of every sum: their dynamic
+    program runs over the parts <= n/3 only, and the at most two larger
+    parts a partition of n can hold are added in closed form (see the
+    module docstring).  Unrestricted counts read Euler's table.
+    """
+    if part_class is PartClass.ALL:
+        return count_partitions_up_to(n, part_class)[n]
+    return _count_split(n, part_class, cumulative=False)
 
 
 def enumerate_partitions(n: int, part_class: PartClass) -> Iterator[Partition]:
@@ -190,12 +236,14 @@ def p_set_size(n: int) -> int:
 
     The empty partition is excluded: every member must be mappable to a
     graph, which needs at least one part.  Equals the sum of the odd-prime
-    counts for sums 3..n.
+    counts for sums 3..n, taken as `count_partitions` takes one count: the
+    prefix sums of the table over the odd primes <= n/3, read at n less
+    each multiset of at most two larger odd primes, less the empty
+    partition.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table = count_partitions_up_to(n, PartClass.ODD_PRIME)
-    return sum(table[3:])
+    return _count_split(n, PartClass.ODD_PRIME, cumulative=True) - 1
 
 
 def p_set_enumerate(n: int) -> Iterator[Partition]:

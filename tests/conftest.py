@@ -24,14 +24,31 @@ def capped_python():
     def cap() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (CAP_BYTES, CAP_BYTES))
 
-    def run(*args: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
+    def run(
+        *args: str, timeout: float = 60, head: int | None = None
+    ) -> subprocess.CompletedProcess:
+        """The child's exit code and output, killed after ``timeout`` seconds.
+
+        With ``head``, stdout is closed after that many lines, as a pipe into
+        ``head -n <head>`` closes it, and those lines are its stdout.
+        """
+        with subprocess.Popen(
             [sys.executable, *args],
-            capture_output=True,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
             env=dict(os.environ, PYTHONPATH=src),
             preexec_fn=cap,
-            timeout=60,
-        )
+        ) as proc:
+            try:
+                lines = ""
+                if head is not None:
+                    lines = "".join(proc.stdout.readline() for _ in range(head))
+                    proc.stdout.close()
+                out, err = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+        return subprocess.CompletedProcess(proc.args, proc.returncode, lines + (out or ""), err)
 
     return run

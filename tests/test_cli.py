@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -887,3 +890,104 @@ class TestParserReuse:
         )
         assert proc.returncode == 0
         assert proc.stdout == "0\n3\n1\n"
+
+
+def _count(x: int) -> str:
+    return cli._decimal(x) + "\n"
+
+
+def _error(prefix: str) -> re.Pattern:
+    """One error line that starts with ``prefix``."""
+    return re.compile(re.escape(f"error: {prefix}") + r"[^\n]*\n")
+
+
+def _complete_edges(n: int) -> list[str]:
+    return [f"{u} {v}" for v in range(n) for u in range(v)]
+
+
+# name -> the file's lines, written once into the console_files directory
+CONSOLE_FILES = {
+    **{f"doubled_{n}": [f"n {n}", *_complete_edges(n), "0 1"] for n in (10, 90, 91, 150, 300)},
+    "pendant": ["n 51", *_complete_edges(50), "49 50"],
+    "hubs": ["n 15002", *(f"{v} {h}" for v in range(15000) for h in (15000, 15001))],
+    "plain": ["n 4", "0 1", "0 2 2", "1 2", "2 3"],
+    "forms": ["# K_3 and a pendant\r", "n\t4\r", "0\t1\r", "  # note\r", "0 2\t2\r", "\r",
+              "1 2\r", "\t2 3\r"],
+    "signed": ["n 4", "0 1", "1 +2"],
+}
+
+# The checks an installed console script must pass: argv ({dir} is the
+# console_files directory), exit code, stdout and stderr, each exact or a
+# pattern the whole text matches.  Those with a timeout or a head run in
+# a child `python -m spantree` under capped_python: a timeout bounds the
+# whole process, and head closes stdout after that many lines, as a pipe
+# into `head -n 1` does; the rest run in-process through main.
+CONSOLE = {
+    "flower": ("tau --flower 3,5", 0, "15\n", ""),
+    # atlases written by `atlas`, read back: 9 spanning trees need 5 vertices
+    "alpha-from-atlas": ("alpha --m 9 --atlas-dir {dir}/atlases", 0, "5\n", ""),
+    # near-complete, so counted through Temperley's identity
+    "complete-10": ("tau --complete 10", 0, "100000000\n", ""),
+    "complete-90": ("tau --complete 90", 0, _count(90**88), ""),
+    "complete-91": ("tau --complete 91", 0, _count(91**89), ""),
+    # the largest complete graph the edge limit accepts
+    "complete-1414": ("tau --complete 1414", 0, _count(1414**1412), "", {"timeout": 10}),
+    # pair (0, 1) doubled is not near-complete: K_10 is dense from the start
+    # and finished by _bareiss; K_90's 89-row block ends on a 1x1 pivot and
+    # K_91's 90-row one on a 2x2; K_300's 299-row block sums its late pairs'
+    # updates in two reduction chunks at the default constants
+    **{
+        f"doubled-{n}":
+            (f"tau --input {{dir}}/doubled_{n}", 0, _count(n ** (n - 2) + 2 * n ** (n - 3)), "")
+        for n in (10, 90, 91, 150, 300)
+    },
+    # K_50 and a pendant vertex: one sparse step, then a 49-row modular block
+    "pendant": ("tau --input {dir}/pendant", 0, _count(50**48), ""),
+    # K_(2,15000), hubs labelled last: one hub struck, the other's row never
+    # rebuilt and every rim step free of division
+    "hubs-last": ("tau --input {dir}/hubs", 0, _count(15000 * 2**14999), "", {"timeout": 10}),
+    # a comment, CRLF line ends and tabs count as the plain form does
+    "plain": ("tau --input {dir}/plain", 0, "5\n", ""),
+    "forms": ("tau --input {dir}/forms", 0, "5\n", ""),
+    "signed": ("tau --input {dir}/signed", 2, "",
+               re.compile(re.escape("error: ") + r"\S+/signed"
+                          + re.escape(": line 3: non-integer token in '1 +2'\n"))),
+    "usage-error": ("partitions --n x --class all", 2, "", _error("")),
+    # a 5,000-digit value's line is cut to 1,000 characters and a newline
+    "long-value": ("tau --cycle " + "3" * 5000, 2, "",
+                   re.compile(re.escape("error: argument --cycle: ") + r"[^\n]{0,975}\n")),
+    # a write to a closed pipe
+    "closed-pipe": ("witness --n 60", 2, re.compile(r"3 [^\n]*\n"), _error(""), {"head": 1}),
+    # a witness family past 10^6 edges
+    "witness-76": ("witness --n 76", 2, "", _error("--n 76: more than 1,000,000 edges")),
+}
+
+
+@pytest.fixture(scope="module")
+def console_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("console")
+    for name, lines in CONSOLE_FILES.items():
+        (directory / name).write_bytes("".join(f"{line}\n" for line in lines).encode())
+    (directory / "atlases").mkdir()
+    for k in range(1, 6):
+        argv = ["atlas", "--n", str(k), "--out", str(directory / "atlases" / f"atlas_{k}.json")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    return directory
+
+
+@pytest.mark.parametrize("name", list(CONSOLE))
+def test_console_check(name, console_files, capsys, capped_python):
+    argv, code, stdout, stderr, *child = CONSOLE[name]
+    argv = argv.format(dir=console_files).split()
+    if child:
+        proc = capped_python("-m", "spantree", *argv, **child[0])
+        got = proc.returncode, proc.stdout, proc.stderr
+    else:
+        got = main(argv), *capsys.readouterr()
+    assert "Traceback" not in got[2]
+    for expected, text in zip((code, stdout, stderr), got):
+        if isinstance(expected, re.Pattern):
+            assert expected.fullmatch(text), text[:200]
+        else:
+            assert text == expected

@@ -519,6 +519,28 @@ class TestBulkParse:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == "2 line 2: expected 'u v [multiplicity]'\nTrue\n"
 
+    @pytest.mark.parametrize("head, message", [
+        ("n 3\\n", "line 2: expected 'u v [multiplicity]'"),
+        ("", "line 1: expected 'n <vertex_count>'"),
+    ])
+    def test_long_refused_line_split_into_four_tokens(self, capped_python, head, message):
+        # to name a wrong token count `_line` needs at most four tokens of
+        # a line; all 4 Mi of this one took about 88 MB
+        proc = capped_python("-c", (
+            "import resource\n"
+            "from spantree import EdgeListError, parse_edge_list\n"
+            f"text = '{head}' + '+ ' * (4 << 20)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "try:\n"
+            "    parse_edge_list(text)\n"
+            "except EdgeListError as exc:\n"
+            "    print(str(exc).partition(', got')[0])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(after - before < 48 << 10)"  # ru_maxrss in KiB
+        ))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"{message}\nTrue\n"
+
     # 4 copies of K_670's pairs in 4 spellings: 7.9 MiB, multiplicity 1+2+3+1
     K = 670
     FORMS = ("{u} {v}", "{v} {u} 2", "{u}  {v} 3", " {v} {u}")

@@ -1,3 +1,4 @@
+import random
 from math import isqrt
 
 import pytest
@@ -13,6 +14,7 @@ from spantree import (
     p_set_size,
     primes_up_to,
 )
+from spantree import partitions
 from spantree.partitions import _primes_in
 
 from oracles import (
@@ -191,3 +193,55 @@ class TestCumulativeFamily:
     def test_cumulative_sum_identity(self):
         table = count_partitions_up_to(30, PartClass.ODD_PRIME)
         assert p_set_size(30) == sum(table[3:])
+
+
+PRIME_CLASSES = [PartClass.PRIME, PartClass.ODD_PRIME]
+
+
+class TestSplitCounts:
+    """Single prime-class counts run the table over the parts <= n/3 and add
+    the at most two larger parts in closed form.  n = 0..400 holds n = 3p
+    and n = 2p, where a part p is n/3 (small) or n/2 (a large pair p + p),
+    for every prime p up to 133."""
+
+    @pytest.mark.parametrize("part_class", PRIME_CLASSES, ids=lambda c: c.value)
+    def test_every_n_to_400(self, part_class):
+        oracle = part_dp_counts(400, allowed_parts(400, part_class))
+        table = count_partitions_up_to(400, part_class)
+        assert table == oracle
+        assert [count_partitions(n, part_class) for n in range(401)] == oracle
+
+    def test_family_size_every_n_to_400(self):
+        oracle = part_dp_counts(400, allowed_parts(400, PartClass.ODD_PRIME))
+        assert [p_set_size(n) for n in range(401)] == [sum(oracle[3 : n + 1]) for n in range(401)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_n_to_3000(self, seed):
+        rng = random.Random(seed)
+        ns = rng.sample(range(401, 3001), 4)
+        for part_class in PRIME_CLASSES:
+            table = count_partitions_up_to(max(ns), part_class)
+            for n in ns:
+                assert count_partitions(n, part_class) == table[n], (part_class, n)
+                if part_class is PartClass.ODD_PRIME:
+                    assert p_set_size(n) == sum(table[3 : n + 1]), n
+
+    def test_full_table_never_built(self, monkeypatch):
+        def refused(n, part_class):
+            raise AssertionError("count_partitions_up_to called")
+
+        seen = []
+
+        def spy(n, parts):
+            seen.append((n, parts))
+            return part_dp_counts(n, parts)
+
+        monkeypatch.setattr(partitions, "count_partitions_up_to", refused)
+        monkeypatch.setattr(partitions, "_part_table", spy)
+        for n in (0, 2, 9, 100, 1000):
+            for part_class in PRIME_CLASSES:
+                assert count_partitions(n, part_class) == part_dp_counts(
+                    n, allowed_parts(n, part_class)
+                )[n]
+            p_set_size(n)
+        assert seen and all(3 * max(parts, default=0) <= n for n, parts in seen)
